@@ -159,6 +159,35 @@ func BenchmarkJoinMaterialize(b *testing.B) {
 	}
 }
 
+// BenchmarkDecomposition measures the loss side of a computed analysis on a
+// warm snapshot: the schema's join size and every edge MVD's join size,
+// counted over memoized groupings, plus the MVD CMIs (memo hits). Analyze
+// runs once first, so every grouping the counts read is already memoized.
+func BenchmarkDecomposition(b *testing.B) {
+	attrs := schemagen.AttrNames(8)
+	model := randrel.Model{Attrs: attrs, Domains: []int{4, 4, 4, 4, 4, 4, 4, 4}, N: 10000}
+	r, err := model.Sample(randrel.NewRand(12))
+	if err != nil {
+		b.Fatal(err)
+	}
+	tree, err := schemagen.RandomJoinTree(randrel.NewRand(12), 5, len(attrs), 0.4)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rep, err := core.Analyze(r, tree.Schema())
+	if err != nil {
+		b.Fatal(err)
+	}
+	rooted := jointree.MustRoot(rep.Tree, 0)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := core.ComputeDecomposition(r, rooted); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // --- substrate micro-benchmarks ---
 
 func benchRelation(b *testing.B, n int) *relation.Relation {

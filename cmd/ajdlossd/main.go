@@ -198,6 +198,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer, ready fun
 	}
 
 	svc := service.New(*cacheSize)
+	defer svc.Close() // early returns; the normal path closes before its final checkpoint
 	svc.SetDefaultNamespace(*defaultNS)
 	svc.Registry().SetDefaultQuotas(service.Quotas{MaxDatasets: *quotaDatasets, MaxRows: *quotaRows})
 	durable := *dataDir != ""
@@ -352,15 +353,17 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer, ready fun
 	if err := serveHTTP(ctx, *addr, service.NewHandler(svc), *drain, stdout, stderr, ready); err != nil {
 		return err
 	}
+	// HTTP is drained. Quiesce the watchers (idempotent with the deferred
+	// cleanup) — a watcher appending after its dataset's final checkpoint
+	// would defeat the point of the sweep — and join background compactions,
+	// so none is mid-checkpoint when the process exits.
+	stopWatches()
+	watchWG.Wait()
+	svc.Close()
 	if durable {
-		// Quiesce the watchers first (idempotent with the deferred cleanup) —
-		// a watcher appending after its dataset's final checkpoint would
-		// defeat the point of the sweep. Then fold every dataset into a final
-		// checkpoint so the next boot loads one file per dataset instead of
-		// replaying a WAL tail. Failures are reported, not fatal: the WAL
-		// already holds everything.
-		stopWatches()
-		watchWG.Wait()
+		// Fold every dataset into a final checkpoint so the next boot loads
+		// one file per dataset instead of replaying a WAL tail. Failures are
+		// reported, not fatal: the WAL already holds everything.
 		for _, err := range svc.CheckpointAll() {
 			fmt.Fprintln(stderr, "ajdlossd: shutdown checkpoint:", err)
 		}

@@ -65,10 +65,10 @@ func Analyze(r *relation.Relation, s *jointree.Schema) (*Report, error) {
 	// parents-first in the subset lattice (shared refinements — bag prefixes,
 	// separators, CMI terms — are computed exactly once) and runs independent
 	// nodes on a worker pool. The sequential measure code below then only
-	// combines memoized values. Entropy-side measures read the captured
-	// snapshot, so they see one consistent generation even if the relation is
-	// appended to concurrently; the loss counts below read r's rows (on the
-	// service path r is a frozen View pinned to this same snapshot).
+	// combines memoized values. Every measure — entropies, the KL check and
+	// the loss counts, which read the bag, separator and MVD-side groupings
+	// the plan memoized — uses the captured snapshot, so the report sees one
+	// consistent generation even if the relation is appended to concurrently.
 	snap := r.Snapshot()
 	if err := warmReportPlan(snap, rooted); err != nil {
 		return nil, err
@@ -77,14 +77,14 @@ func Analyze(r *relation.Relation, s *jointree.Schema) (*Report, error) {
 	if rep.J, err = JMeasure(snap, t); err != nil {
 		return nil, err
 	}
-	f, err := NewFactorization(r, rooted)
+	f, err := newFactorization(r, snap, rooted)
 	if err != nil {
 		return nil, err
 	}
 	if rep.KL, err = f.KLFromEmpirical(); err != nil {
 		return nil, err
 	}
-	dec, err := ComputeDecomposition(r, rooted)
+	dec, err := computeDecomposition(snap, rooted)
 	if err != nil {
 		return nil, err
 	}
@@ -107,7 +107,9 @@ func Analyze(r *relation.Relation, s *jointree.Schema) (*Report, error) {
 // Theorem 2.2 sandwich, and the edge-MVD CMI terms shared by the sandwich
 // lower bound and the Proposition 5.1 decomposition — into one engine plan
 // and runs it. addCMI mirrors infotheory.ConditionalMutualInformation's
-// decomposition I(A;B|C) = H(BC) + H(AC) − H(ABC) − H(C).
+// decomposition I(A;B|C) = H(BC) + H(AC) − H(ABC) − H(C). The same sets
+// hold every grouping the loss counts read: bags and separators for the
+// schema's join, X∪Y, X∪Z and X for each edge MVD.
 func warmReportPlan(snap *engine.Snapshot, rooted *jointree.Rooted) error {
 	p := snap.Plan()
 	addCMI := func(a, b, c []string) error {

@@ -5,7 +5,9 @@ import (
 	"math"
 	"sync"
 
+	"ajdloss/internal/engine"
 	"ajdloss/internal/infotheory"
+	"ajdloss/internal/join"
 	"ajdloss/internal/jointree"
 	"ajdloss/internal/relation"
 )
@@ -25,7 +27,8 @@ type Factorization struct {
 	rooted *jointree.Rooted
 	n      float64
 	// bagGroups/sepGroups hold per-row group ids and per-group counts for
-	// each bag and separator, shared with the relation's memoized engine.
+	// each bag and separator, shared with the memoized engine of one
+	// snapshot of r.
 	bagGroups []*relation.Grouping
 	sepGroups []*relation.Grouping
 	// bagCols/sepCols are column positions in r, used by the lazy lookup.
@@ -41,14 +44,20 @@ type Factorization struct {
 // NewFactorization builds the P^T evaluator for the empirical distribution
 // of r and the rooted join tree.
 func NewFactorization(r *relation.Relation, rooted *jointree.Rooted) (*Factorization, error) {
-	if r.N() == 0 {
+	return newFactorization(r, r.Snapshot(), rooted)
+}
+
+// newFactorization is NewFactorization reading its marginals off snap, a
+// snapshot of r.
+func newFactorization(r *relation.Relation, snap *engine.Snapshot, rooted *jointree.Rooted) (*Factorization, error) {
+	if snap.N() == 0 {
 		return nil, fmt.Errorf("core: factorization of an empty relation")
 	}
-	f := &Factorization{r: r, rooted: rooted, n: float64(r.N())}
+	f := &Factorization{r: r, rooted: rooted, n: float64(snap.N())}
 	m := len(rooted.Order)
 	for i := 0; i < m; i++ {
 		bag := rooted.Bag(i)
-		g, err := r.Grouping(bag...)
+		g, err := snap.Grouping(bag...)
 		if err != nil {
 			return nil, err
 		}
@@ -57,7 +66,7 @@ func NewFactorization(r *relation.Relation, rooted *jointree.Rooted) (*Factoriza
 	}
 	for i := 1; i < m; i++ {
 		sep := rooted.Sep[i]
-		g, err := r.Grouping(sep...)
+		g, err := snap.Grouping(sep...)
 		if err != nil {
 			return nil, err
 		}
@@ -112,7 +121,7 @@ func (f *Factorization) Prob(t relation.Tuple) float64 {
 
 // LogProb returns ln P^T(t) and whether the probability is positive. t is an
 // arbitrary tuple (not necessarily in r), so this is the string-keyed
-// diagnostics path; the KL hot loop uses logProbRow instead.
+// diagnostics path; KLFromEmpirical indexes group ids instead.
 func (f *Factorization) LogProb(t relation.Tuple) (float64, bool) {
 	bagLookup, sepLookup, err := f.lookups()
 	if err != nil {
@@ -140,29 +149,58 @@ func (f *Factorization) LogProb(t relation.Tuple) (float64, bool) {
 	return lp, true
 }
 
-// logProbRow returns ln P^T of row i of r by pure group-ID indexing. Every
-// bag and separator projection of a row of r occurs in r, so the probability
-// is always positive.
-func (f *Factorization) logProbRow(i int) float64 {
-	var lp float64
-	for _, g := range f.bagGroups {
-		lp += math.Log(float64(g.Counts[g.IDs[i]]) / f.n)
-	}
-	for _, g := range f.sepGroups {
-		lp -= math.Log(float64(g.Counts[g.IDs[i]]) / f.n)
-	}
-	return lp
-}
-
 // KLFromEmpirical returns D_KL(P ‖ P^T) where P is the empirical
 // distribution of r. By Theorem 3.2 this equals J(T); the equality is
 // verified in tests and exposed as an internal consistency check.
+//
+// ln P^T of a row of r is read by group-id indexing: every bag and separator
+// projection of a row of r occurs in r, so the probability is positive, and
+// log(count/n) is computed once per group. Each row's ln P^T still adds its
+// bag terms and subtracts its separator terms in tree order, and the rows
+// are summed in row order, so the result is the one per-row evaluation
+// gives, bit for bit.
 func (f *Factorization) KLFromEmpirical() (float64, error) {
+	type term struct {
+		ids  []int32
+		logs []float64 // ±log(count/n) per group: + for bags, − for separators
+	}
+	terms := make([]term, 0, len(f.bagGroups)+len(f.sepGroups))
+	add := func(g *relation.Grouping, sign float64) {
+		logs := make([]float64, g.Groups())
+		for id, c := range g.Counts {
+			logs[id] = sign * math.Log(float64(c)/f.n)
+		}
+		terms = append(terms, term{ids: g.IDs, logs: logs})
+	}
+	for _, g := range f.bagGroups {
+		add(g, 1)
+	}
+	for _, g := range f.sepGroups {
+		add(g, -1)
+	}
+	// lp[i] accumulates row i's terms in order. Each pass over the rows adds
+	// two terms, which halves the loads and stores of lp.
+	lp := make([]float64, len(terms[0].ids))
+	for k := 0; k < len(terms); k += 2 {
+		a := terms[k]
+		aIDs := a.ids[:len(lp)]
+		if k+1 == len(terms) {
+			for i, id := range aIDs {
+				lp[i] += a.logs[id]
+			}
+			break
+		}
+		b := terms[k+1]
+		bIDs := b.ids[:len(lp)]
+		for i, id := range aIDs {
+			lp[i] = lp[i] + a.logs[id] + b.logs[bIDs[i]]
+		}
+	}
 	var d float64
 	invN := 1.0 / f.n
 	logInvN := math.Log(invN)
-	for i := 0; i < f.r.N(); i++ {
-		d += invN * (logInvN - f.logProbRow(i))
+	for _, v := range lp {
+		d += invN * (logInvN - v)
 	}
 	if d < 0 && d > -1e-9 {
 		d = 0
@@ -183,7 +221,7 @@ func (f *Factorization) Dist() (infotheory.Dist, *relation.Relation, error) {
 			return nil, nil, err
 		}
 	}
-	joined, err := materializeForDist(f.rooted, rels)
+	joined, err := join.MaterializeTree(f.rooted.Tree, rels)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -204,15 +242,6 @@ func (f *Factorization) Dist() (infotheory.Dist, *relation.Relation, error) {
 		return nil, nil, fmt.Errorf("core: P^T sums to %.9f over the join support, want 1", total)
 	}
 	return d, joined, nil
-}
-
-// materializeForDist joins the per-bag relations in rooted order.
-func materializeForDist(rooted *jointree.Rooted, rels []*relation.Relation) (*relation.Relation, error) {
-	acc := rels[rooted.Order[0]]
-	for i := 1; i < len(rooted.Order); i++ {
-		acc = acc.NaturalJoin(rels[rooted.Order[i]])
-	}
-	return acc, nil
 }
 
 // ModelsTree reports whether the empirical distribution of r models the join

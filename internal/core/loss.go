@@ -3,7 +3,9 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 
+	"ajdloss/internal/engine"
 	"ajdloss/internal/infotheory"
 	"ajdloss/internal/join"
 	"ajdloss/internal/jointree"
@@ -24,9 +26,9 @@ type Loss struct {
 // paper's theorems.
 func (l Loss) LogOnePlusRho() float64 { return math.Log(1 + l.Rho) }
 
-// ComputeLoss returns the loss of the acyclic schema s with respect to r,
-// counting the join via junction-tree message passing (the join itself is
-// never materialized).
+// ComputeLoss returns the loss of the acyclic schema s with respect to r.
+// The join is counted, never materialized: messages pass up a join tree of
+// s over the groupings of r's snapshot (join.CountGroupings).
 func ComputeLoss(r *relation.Relation, s *jointree.Schema) (Loss, error) {
 	if r.N() == 0 {
 		return Loss{}, fmt.Errorf("core: loss of an empty relation is undefined")
@@ -34,14 +36,17 @@ func ComputeLoss(r *relation.Relation, s *jointree.Schema) (Loss, error) {
 	if err := checkCoverage(r, s); err != nil {
 		return Loss{}, err
 	}
-	size, err := join.CountAcyclicJoin(r, s)
+	t, err := jointree.BuildJoinTree(s)
 	if err != nil {
 		return Loss{}, err
 	}
-	return lossFromJoinSize(r.N(), size)
+	return ComputeLossTree(r, t)
 }
 
-// ComputeLossTree is ComputeLoss for a pre-built join tree.
+// ComputeLossTree is ComputeLoss for a pre-built join tree. The bag and
+// separator groupings are first scheduled through one engine plan, so
+// overlapping bags share their refinements and independent ones run on the
+// worker pool; groupings the snapshot already holds cost nothing.
 func ComputeLossTree(r *relation.Relation, t *jointree.JoinTree) (Loss, error) {
 	if r.N() == 0 {
 		return Loss{}, fmt.Errorf("core: loss of an empty relation is undefined")
@@ -49,15 +54,31 @@ func ComputeLossTree(r *relation.Relation, t *jointree.JoinTree) (Loss, error) {
 	if err := checkCoverage(r, t.Schema()); err != nil {
 		return Loss{}, err
 	}
-	rels, err := join.Projections(r, t.Schema())
+	rooted, err := jointree.Root(t, 0)
 	if err != nil {
 		return Loss{}, err
 	}
-	size, err := join.CountTree(t, rels)
+	snap := r.Snapshot()
+	p := snap.Plan()
+	for pos := range rooted.Order {
+		if err := p.AddGrouping(rooted.Bag(pos)...); err != nil {
+			return Loss{}, err
+		}
+		if err := p.AddGrouping(rooted.Sep[pos]...); err != nil {
+			return Loss{}, err
+		}
+	}
+	p.Run(0)
+	return rootedLoss(snap, rooted)
+}
+
+// rootedLoss counts the join of the rooted tree's bags on snap.
+func rootedLoss(snap *engine.Snapshot, rooted *jointree.Rooted) (Loss, error) {
+	size, err := join.CountRooted(snap, rooted)
 	if err != nil {
 		return Loss{}, err
 	}
-	return lossFromJoinSize(r.N(), size)
+	return lossFromJoinSize(snap.N(), size)
 }
 
 func lossFromJoinSize(n int, size int64) (Loss, error) {
@@ -74,20 +95,30 @@ func lossFromJoinSize(n int, size int64) (Loss, error) {
 }
 
 // MVDLoss returns the loss ρ(R,φ) of the MVD φ = X ↠ Y|Z (Eq. 28):
-// (|Π_{XY}(R) ⋈ Π_{XZ}(R)| − |R|) / |R|, computed by a counting hash join.
+// (|Π_{XY}(R) ⋈ Π_{XZ}(R)| − |R|) / |R|. The join is counted as the two-bag
+// tree {XY, XZ} joined on their shared attributes (X for a well-formed MVD):
+// Σₓ d_XY(x)·d_XZ(x) over the groupings of r's snapshot.
 func MVDLoss(r *relation.Relation, m jointree.MVD) (Loss, error) {
 	if r.N() == 0 {
 		return Loss{}, fmt.Errorf("core: loss of an empty relation is undefined")
 	}
-	left, err := r.Project(infotheory.Union(m.X, m.Y)...)
+	return mvdLoss(r.Snapshot(), m)
+}
+
+func mvdLoss(snap *engine.Snapshot, m jointree.MVD) (Loss, error) {
+	xy := infotheory.Union(m.X, m.Y)
+	xz := infotheory.Union(m.X, m.Z)
+	var shared []string
+	for _, a := range xy {
+		if slices.Contains(xz, a) {
+			shared = append(shared, a)
+		}
+	}
+	size, err := join.CountGroupings(snap, [][]string{xy, xz}, []int{-1, 0}, [][]string{nil, shared})
 	if err != nil {
 		return Loss{}, err
 	}
-	right, err := r.Project(infotheory.Union(m.X, m.Z)...)
-	if err != nil {
-		return Loss{}, err
-	}
-	return lossFromJoinSize(r.N(), left.JoinCount(right))
+	return lossFromJoinSize(snap.N(), size)
 }
 
 // SatisfiesJD reports whether R ⊨ JD(S), i.e. ρ(R,S) = 0.
@@ -159,18 +190,30 @@ type Decomposition struct {
 // ComputeDecomposition evaluates the support MVDs of the rooted tree against
 // r: each MVD's loss and CMI, the schema loss, and the Proposition 5.1 sums.
 func ComputeDecomposition(r *relation.Relation, rooted *jointree.Rooted) (*Decomposition, error) {
+	if r.N() == 0 {
+		return nil, fmt.Errorf("core: loss of an empty relation is undefined")
+	}
+	if err := checkCoverage(r, rooted.Tree.Schema()); err != nil {
+		return nil, err
+	}
+	return computeDecomposition(r.Snapshot(), rooted)
+}
+
+// computeDecomposition is ComputeDecomposition on one snapshot: every count
+// and entropy reads the same generation.
+func computeDecomposition(snap *engine.Snapshot, rooted *jointree.Rooted) (*Decomposition, error) {
 	d := &Decomposition{}
-	schemaLoss, err := ComputeLossTree(r, rooted.Tree)
+	schemaLoss, err := rootedLoss(snap, rooted)
 	if err != nil {
 		return nil, err
 	}
 	d.Schema = schemaLoss
 	for _, m := range rooted.Tree.EdgeMVDs() {
-		l, err := MVDLoss(r, m)
+		l, err := mvdLoss(snap, m)
 		if err != nil {
 			return nil, err
 		}
-		cmi, err := infotheory.ConditionalMutualInformation(r, m.Y, m.Z, m.X)
+		cmi, err := infotheory.ConditionalMutualInformation(snap, m.Y, m.Z, m.X)
 		if err != nil {
 			return nil, err
 		}

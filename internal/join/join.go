@@ -5,12 +5,19 @@
 // passing without materializing the join (the join of an acyclic schema can
 // be exponentially larger than its inputs; Figure 1 needs joins of size 10⁶
 // whose inputs have 10⁵ rows, and the count is all the loss measure needs).
+//
+// Two counters share the message-passing scheme. CountGroupings counts the
+// join of one relation's own projections straight off its snapshot
+// groupings; every loss in core goes through it. CountTree counts the join
+// of independently sourced bag relations (normalization parts, sampled
+// bags), aligning each edge's separator values across the two relations.
 package join
 
 import (
 	"fmt"
 	"math"
 
+	"ajdloss/internal/engine"
 	"ajdloss/internal/jointree"
 	"ajdloss/internal/relation"
 )
@@ -216,6 +223,89 @@ func CountTree(t *jointree.JoinTree, rels []*relation.Relation) (int64, error) {
 		}
 	}
 	return aggregate(0)
+}
+
+// CountGroupings returns |⋈ᵢ R[bags[i]]|, where R is the relation snap
+// holds, by bottom-up message passing over snap's groupings. The bags come
+// in rooted DFS order: parent[0] = -1, parent[i] < i for i ≥ 1, and seps[i]
+// is the attribute set bag i shares with its parent.
+//
+// Each group of a bag's grouping is one distinct tuple of R[bag], and the
+// first row of the group represents it (group ids are dense in
+// first-occurrence order). Read at that row, an edge's separator grouping
+// names the tuple's separator value in the same snapshot, so messages are
+// int64 slices over dense separator group ids: no projected relation, no row
+// key and no cross-relation alignment is built. Projections of one relation
+// are globally consistent (Beeri et al. 1983), so no reduction pass is
+// needed. Groupings missing from the snapshot's memo are computed on demand.
+// Independently sourced bag relations go through CountTree instead.
+func CountGroupings(snap *engine.Snapshot, bags [][]string, parent []int, seps [][]string) (int64, error) {
+	m := len(bags)
+	if m == 0 || len(parent) != m || len(seps) != m || parent[0] != -1 {
+		return 0, fmt.Errorf("join: malformed rooted tree (%d bags, %d parents, %d separators)", m, len(parent), len(seps))
+	}
+	bagG := make([]*engine.Grouping, m)
+	sepG := make([]*engine.Grouping, m)
+	msgs := make([][]int64, m) // msgs[pos]: edge pos→parent's message, by separator group
+	kids := make([][]int, m)
+	for pos := range bags {
+		var err error
+		if bagG[pos], err = snap.Grouping(bags[pos]...); err != nil {
+			return 0, fmt.Errorf("join: bag %d: %w", pos, err)
+		}
+		if pos == 0 {
+			continue
+		}
+		if parent[pos] < 0 || parent[pos] >= pos {
+			return 0, fmt.Errorf("join: bag %d has parent %d, want one in [0,%d)", pos, parent[pos], pos)
+		}
+		if sepG[pos], err = snap.Grouping(seps[pos]...); err != nil {
+			return 0, fmt.Errorf("join: separator of bag %d: %w", pos, err)
+		}
+		msgs[pos] = make([]int64, sepG[pos].Groups())
+		kids[parent[pos]] = append(kids[parent[pos]], pos)
+	}
+
+	var total int64
+	for pos := m - 1; pos >= 0; pos-- {
+		ids, groups := bagG[pos].IDs, int32(bagG[pos].Groups())
+		next := int32(0)
+		for i := 0; i < len(ids) && next < groups; i++ {
+			if ids[i] != next {
+				if ids[i] > next {
+					return 0, fmt.Errorf("join: bag %d grouping ids are not in first-occurrence order", pos)
+				}
+				continue
+			}
+			next++
+			w := int64(1)
+			var err error
+			for _, c := range kids[pos] {
+				if w, err = mulCheck(w, msgs[c][sepG[c].IDs[i]]); err != nil {
+					return 0, err
+				}
+			}
+			if pos == 0 {
+				total, err = addCheck(total, w)
+			} else {
+				g := sepG[pos].IDs[i]
+				msgs[pos][g], err = addCheck(msgs[pos][g], w)
+			}
+			if err != nil {
+				return 0, err
+			}
+		}
+	}
+	return total, nil
+}
+
+// CountRooted is CountGroupings over a rooted join tree's bags.
+func CountRooted(snap *engine.Snapshot, rooted *jointree.Rooted) (int64, error) {
+	bags := make([][]string, len(rooted.Order))
+	for pos := range bags {
+		bags[pos] = rooted.Bag(pos)
+	}
+	return CountGroupings(snap, bags, rooted.Parent, rooted.Sep)
 }
 
 // CountAcyclicJoin projects r onto the schema's bags and counts the acyclic

@@ -91,6 +91,7 @@ func BenchmarkServeColdAnalyze(b *testing.B) {
 		}
 		schemas[r] = strings.Join(bags, ";")
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
 		i := 0

@@ -337,20 +337,36 @@ func (s *Service) checkpointDataset(d *Dataset) (*CheckpointView, error) {
 // maybeCompact triggers one background checkpoint when the dataset's WAL
 // has outgrown the store's compaction threshold. At most one compaction per
 // dataset is in flight; a failure is counted (checkpoint_errors in /stats)
-// and retried by whichever later append crosses the threshold again.
+// and retried by whichever later append crosses the threshold again. After
+// Close no compaction starts.
 func (s *Service) maybeCompact(d *Dataset) {
 	if d.store == nil || s.compactAt <= 0 || d.store.WALBytes() < s.compactAt {
 		return
 	}
-	if !d.compacting.CompareAndSwap(false, true) {
+	s.bgMu.Lock()
+	defer s.bgMu.Unlock()
+	if s.closed || !d.compacting.CompareAndSwap(false, true) {
 		return
 	}
+	s.compactions.Add(1)
 	go func() {
+		defer s.compactions.Done()
 		defer d.compacting.Store(false)
 		if _, err := s.checkpointDataset(d); err != nil {
 			s.checkpointErrors.Add(1)
 		}
 	}()
+}
+
+// Close stops background work: no compaction starts after it, and it
+// returns once every compaction already running has finished. Reads,
+// appends and explicit checkpoints keep working, so a shutdown drains HTTP,
+// calls Close, then CheckpointAll. Close is idempotent.
+func (s *Service) Close() {
+	s.bgMu.Lock()
+	s.closed = true
+	s.bgMu.Unlock()
+	s.compactions.Wait()
 }
 
 // CheckpointAll checkpoints every durable dataset (the daemon calls it on

@@ -26,6 +26,7 @@ func newDurableService(t testing.TB, dir string, cacheSize int) (*Service, []Rec
 		t.Fatal(err)
 	}
 	s := New(cacheSize)
+	t.Cleanup(s.Close)
 	recovered, err := s.EnableDurability(store)
 	if err != nil {
 		t.Fatal(err)
@@ -223,7 +224,9 @@ func TestDurableSizeTriggeredCompaction(t *testing.T) {
 	if deadline == 0 {
 		t.Fatalf("size-triggered compaction never ran: %+v", s.Stats())
 	}
-	// Whatever the interleaving, recovery must see the full state.
+	// Join any compaction still running before reopening the directory;
+	// whatever the interleaving, recovery must see the full state.
+	s.Close()
 	s2, recovered := newDurableService(t, dir, 16)
 	if len(recovered) != 1 || recovered[0].Rows != 8+40 {
 		t.Fatalf("recovery after compaction: %+v", recovered)

@@ -87,6 +87,13 @@ type Service struct {
 	// dataset; set by EnableDurability from the store's options.
 	compactAt int64
 
+	// bgMu orders starting a background compaction against Close: once
+	// closed is set no compaction starts, and compactions joins every one
+	// already started.
+	bgMu        sync.Mutex
+	closed      bool
+	compactions sync.WaitGroup
+
 	// replication is the follower's published replication state (see
 	// SetReplication); nil on a primary or standalone node.
 	replication atomic.Pointer[ReplicationView]

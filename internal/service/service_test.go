@@ -248,6 +248,72 @@ func TestCoalescing(t *testing.T) {
 	}
 }
 
+// TestCoalescedAccounting parks a leader computation on a channel, lets N
+// identical requests join it, and checks that the leader counts as computed
+// only: computed=1 and coalesced=N, service-wide and in the namespace.
+func TestCoalescedAccounting(t *testing.T) {
+	s := newTestService(t, 0)
+	d, err := s.dataset(s.DefaultNamespace(), "block")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const key = "parked"
+	started := make(chan struct{})
+	release := make(chan struct{})
+	leader := make(chan error, 1)
+	go func() {
+		_, err := s.do(d, key, d.Generation(), func() (any, error) {
+			close(started)
+			<-release
+			return "v", nil
+		})
+		leader <- err
+	}()
+	<-started
+	const waiters = 6
+	var wg sync.WaitGroup
+	for i := 0; i < waiters; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			v, err := s.do(d, key, d.Generation(), func() (any, error) {
+				t.Error("a joiner ran the computation")
+				return nil, nil
+			})
+			if err != nil || v != "v" {
+				t.Errorf("joiner got (%v, %v)", v, err)
+			}
+		}()
+	}
+	for {
+		s.sf.mu.Lock()
+		joined := s.sf.m[key].dups
+		s.sf.mu.Unlock()
+		if joined == waiters {
+			break
+		}
+		time.Sleep(time.Millisecond)
+	}
+	close(release)
+	wg.Wait()
+	if err := <-leader; err != nil {
+		t.Fatal(err)
+	}
+	st := s.Stats()
+	if st.Requests != waiters+1 || st.Computed != 1 || st.Coalesced != waiters {
+		t.Fatalf("service stats: requests %d computed %d coalesced %d, want %d, 1, %d",
+			st.Requests, st.Computed, st.Coalesced, waiters+1, waiters)
+	}
+	ns, ok := s.Registry().NamespaceStats(s.DefaultNamespace())
+	if !ok {
+		t.Fatal("default namespace missing")
+	}
+	if ns.Requests != waiters+1 || ns.Computed != 1 || ns.Coalesced != waiters {
+		t.Fatalf("namespace stats: requests %d computed %d coalesced %d, want %d, 1, %d",
+			ns.Requests, ns.Computed, ns.Coalesced, waiters+1, waiters)
+	}
+}
+
 // TestCoalescingPanic: a panicking computation must not wedge its key — the
 // panic re-raises in the computing goroutine, waiters get an error, and a
 // later call with the same key computes fresh.

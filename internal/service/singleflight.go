@@ -23,12 +23,15 @@ type flightCall struct {
 	wg   sync.WaitGroup
 	val  any
 	err  error
-	dups int
+	dups int // callers that joined; tests wait on it to park a leader
 }
 
 // Do runs fn once per key among concurrent callers and returns its result.
-// shared reports whether the result was also delivered to other callers
-// (true for the joiners and, once joined, for the caller that computed it).
+// shared reports whether this caller joined another caller's computation:
+// true for every joiner, false for the caller that ran fn, whether or not
+// anyone joined it. (x/sync's singleflight also reports true to the leader
+// once joined; the service counts each request as exactly one of computed or
+// coalesced, so it needs the joiner-only meaning.)
 func (g *flightGroup) Do(key string, fn func() (any, error)) (val any, err error, shared bool) {
 	g.mu.Lock()
 	if g.m == nil {
@@ -57,7 +60,6 @@ func (g *flightGroup) Do(key string, fn func() (any, error)) (val any, err error
 		}
 		g.mu.Lock()
 		delete(g.m, key)
-		shared = c.dups > 0
 		g.mu.Unlock()
 		c.wg.Done()
 		if r != nil {
@@ -65,5 +67,5 @@ func (g *flightGroup) Do(key string, fn func() (any, error)) (val any, err error
 		}
 	}()
 	c.val, c.err = fn()
-	return c.val, c.err, shared
+	return c.val, c.err, false
 }
