@@ -5,13 +5,17 @@
 // Usage:
 //
 //	go test -bench=. -run xxx ./... | benchjson > BENCH_results.json
-//	benchjson bench.txt > BENCH_results.json
+//	benchjson -commit "$(git rev-parse HEAD)" bench.txt > BENCH_results.json
 //	go test -bench=... -count=3 ./... | benchjson -compare BENCH_results.json -tolerance 0.5
 //
-// The output maps each benchmark (name with the -cpu suffix stripped) to its
+// The output records the machine the numbers came from — the goos, goarch
+// and cpu header lines go test prints, GOMAXPROCS from the benchmark names'
+// -N suffix, the Go version benchjson was built with and the optional
+// -commit — and maps each benchmark (name with the -N suffix stripped) to its
 // ns/op plus, when present, B/op and allocs/op:
 //
 //	{
+//	  "machine": {"goos": "linux", "goarch": "amd64", "cpu": "...", "gomaxprocs": 8, "go_version": "go1.24.0"},
 //	  "benchmarks": [
 //	    {"name": "BenchmarkBatchAnalyze/batch", "ns_per_op": 3563078, ...}
 //	  ]
@@ -29,7 +33,8 @@
 // observation), the ns/op, B/op and allocs/op deltas are printed and the
 // exit status is non-zero if any ns/op or allocs/op regression exceeds
 // -tolerance (a fraction: 0.25 allows +25%). Benchmarks only in the baseline
-// are skipped — CI gates on a stable subset, not the full suite.
+// are skipped — CI gates on a stable subset, not the full suite. The
+// machine object plays no part in the comparison.
 package main
 
 import (
@@ -41,6 +46,7 @@ import (
 	"io"
 	"math"
 	"os"
+	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -62,7 +68,20 @@ type Result struct {
 	AllocsPerOp *int64  `json:"allocs_per_op,omitempty"`
 }
 
+// Machine describes where a benchmark run was recorded.
+type Machine struct {
+	GOOS   string `json:"goos,omitempty"`
+	GOARCH string `json:"goarch,omitempty"`
+	CPU    string `json:"cpu,omitempty"`
+	// GOMAXPROCS is read off the benchmark names' -N suffix (no suffix means
+	// 1); it is omitted when lines disagree, as under a -cpu list.
+	GOMAXPROCS int    `json:"gomaxprocs,omitempty"`
+	GoVersion  string `json:"go_version,omitempty"`
+	Commit     string `json:"commit,omitempty"`
+}
+
 type output struct {
+	Machine    *Machine `json:"machine,omitempty"`
 	Benchmarks []Result `json:"benchmarks"`
 }
 
@@ -71,13 +90,15 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 	fs.SetOutput(io.Discard)
 	compare := fs.String("compare", "", "baseline BENCH_results.json to compare against instead of emitting JSON")
 	tolerance := fs.Float64("tolerance", 0.25, "allowed fractional ns/op and allocs/op regression vs -compare baseline")
+	commit := fs.String("commit", "", "source commit the benchmarks were run at, recorded in the machine object")
+	const usage = "usage: benchjson [-commit rev] [-compare baseline.json [-tolerance 0.25]] [bench.txt]"
 	if err := fs.Parse(args); err != nil {
-		return fmt.Errorf("usage: benchjson [-compare baseline.json [-tolerance 0.25]] [bench.txt]: %w", err)
+		return fmt.Errorf("%s: %w", usage, err)
 	}
 	rest := fs.Args()
 	in := stdin
 	if len(rest) > 1 {
-		return errors.New("usage: benchjson [-compare baseline.json [-tolerance 0.25]] [bench.txt]")
+		return errors.New(usage)
 	}
 	if len(rest) == 1 {
 		f, err := os.Open(rest[0])
@@ -101,17 +122,30 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 		}
 		return compareResults(stdout, base, out, *tolerance)
 	}
+	out.Machine.GoVersion = runtime.Version()
+	out.Machine.Commit = *commit
 	enc := json.NewEncoder(stdout)
 	enc.SetIndent("", "  ")
 	return enc.Encode(out)
 }
 
 func parse(in io.Reader) (*output, error) {
-	out := &output{Benchmarks: []Result{}}
+	m := &Machine{}
+	out := &output{Machine: m, Benchmarks: []Result{}}
+	procs := -1 // GOMAXPROCS of the lines so far: -1 none yet, 0 disagreeing
 	sc := bufio.NewScanner(in)
 	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
 	for sc.Scan() {
-		fields := strings.Fields(sc.Text())
+		line := sc.Text()
+		for _, h := range []struct {
+			prefix string
+			field  *string
+		}{{"goos:", &m.GOOS}, {"goarch:", &m.GOARCH}, {"cpu:", &m.CPU}} {
+			if v, ok := strings.CutPrefix(line, h.prefix); ok && *h.field == "" {
+				*h.field = strings.TrimSpace(v)
+			}
+		}
+		fields := strings.Fields(line)
 		if len(fields) < 4 || !strings.HasPrefix(fields[0], "Benchmark") {
 			continue
 		}
@@ -119,7 +153,13 @@ func parse(in io.Reader) (*output, error) {
 		if err != nil {
 			continue // e.g. "Benchmark... --- FAIL" lines
 		}
-		r := Result{Name: trimCPUSuffix(fields[0]), Iterations: iters}
+		name, n := splitCPUSuffix(fields[0])
+		if procs == -1 {
+			procs = n
+		} else if procs != n {
+			procs = 0
+		}
+		r := Result{Name: name, Iterations: iters}
 		seen := false
 		for i := 2; i+1 < len(fields); i += 2 {
 			val := fields[i]
@@ -148,20 +188,23 @@ func parse(in io.Reader) (*output, error) {
 	if err := sc.Err(); err != nil {
 		return nil, err
 	}
+	m.GOMAXPROCS = max(procs, 0)
 	return out, nil
 }
 
-// trimCPUSuffix drops the trailing "-N" GOMAXPROCS marker go test appends to
-// benchmark names, so results are keyed stably across machines.
-func trimCPUSuffix(name string) string {
+// splitCPUSuffix splits off the trailing "-N" GOMAXPROCS marker go test
+// appends to benchmark names, so results are keyed stably across machines,
+// and returns N (go test omits the suffix when GOMAXPROCS is 1).
+func splitCPUSuffix(name string) (string, int) {
 	i := strings.LastIndexByte(name, '-')
 	if i < 0 {
-		return name
+		return name, 1
 	}
-	if _, err := strconv.Atoi(name[i+1:]); err != nil {
-		return name
+	n, err := strconv.Atoi(name[i+1:])
+	if err != nil {
+		return name, 1
 	}
-	return name[:i]
+	return name[:i], n
 }
 
 // readBaseline loads a committed BENCH_results.json.

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"os"
+	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -50,15 +52,66 @@ func TestParse(t *testing.T) {
 }
 
 func TestTrimCPUSuffix(t *testing.T) {
-	for in, want := range map[string]string{
-		"BenchmarkX-8":          "BenchmarkX",
-		"BenchmarkX":            "BenchmarkX",
-		"BenchmarkX/sub-case-4": "BenchmarkX/sub-case",
-		"BenchmarkX/sub-case":   "BenchmarkX/sub-case",
+	for in, want := range map[string]struct {
+		name  string
+		procs int
+	}{
+		"BenchmarkX-8":          {"BenchmarkX", 8},
+		"BenchmarkX":            {"BenchmarkX", 1},
+		"BenchmarkX/sub-case-4": {"BenchmarkX/sub-case", 4},
+		"BenchmarkX/sub-case":   {"BenchmarkX/sub-case", 1},
 	} {
-		if got := trimCPUSuffix(in); got != want {
-			t.Errorf("trimCPUSuffix(%q) = %q, want %q", in, got, want)
+		if name, procs := splitCPUSuffix(in); name != want.name || procs != want.procs {
+			t.Errorf("splitCPUSuffix(%q) = %q, %d; want %q, %d", in, name, procs, want.name, want.procs)
 		}
+	}
+}
+
+// TestMachine: the machine object carries the header lines, GOMAXPROCS
+// from the name suffix, the Go version and -commit; disagreeing suffixes
+// leave GOMAXPROCS out, and -compare ignores the object entirely.
+func TestMachine(t *testing.T) {
+	var buf bytes.Buffer
+	if err := run([]string{"-commit", "abc123"}, strings.NewReader(sample), &buf); err != nil {
+		t.Fatal(err)
+	}
+	var out struct {
+		Machine map[string]any `json:"machine"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &out); err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]any{
+		"goos":       "linux",
+		"goarch":     "amd64",
+		"cpu":        "Intel(R) Xeon(R) Processor @ 2.10GHz",
+		"gomaxprocs": float64(8),
+		"go_version": runtime.Version(),
+		"commit":     "abc123",
+	}
+	if !reflect.DeepEqual(out.Machine, want) {
+		t.Fatalf("machine = %v, want %v", out.Machine, want)
+	}
+
+	buf.Reset()
+	mixed := "BenchmarkA-2\t10\t5 ns/op\nBenchmarkA-4\t10\t4 ns/op\n"
+	if err := run(nil, strings.NewReader(mixed), &buf); err != nil {
+		t.Fatal(err)
+	}
+	out.Machine = nil
+	if err := json.Unmarshal(buf.Bytes(), &out); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := out.Machine["gomaxprocs"]; ok || out.Machine["commit"] != nil {
+		t.Fatalf("mixed -cpu run without -commit: machine = %v", out.Machine)
+	}
+
+	// A baseline from another machine compares on its benchmarks alone.
+	base := writeBaseline(t, "goos: plan9\ncpu: other\n"+compareBase)
+	buf.Reset()
+	current := "goos: linux\nBenchmarkFast-2\t100\t1000 ns/op\t512 B/op\t10 allocs/op\n"
+	if err := run([]string{"-compare", base}, strings.NewReader(current), &buf); err != nil {
+		t.Fatalf("compare across machines: %v\n%s", err, buf.String())
 	}
 }
 

@@ -155,20 +155,31 @@ func (f *Factorization) LogProb(t relation.Tuple) (float64, bool) {
 //
 // ln P^T of a row of r is read by group-id indexing: every bag and separator
 // projection of a row of r occurs in r, so the probability is positive, and
-// log(count/n) is computed once per group. Each row's ln P^T still adds its
-// bag terms and subtracts its separator terms in tree order, and the rows
-// are summed in row order, so the result is the one per-row evaluation
-// gives, bit for bit.
+// log(count/n) is computed once per group (once per count value for the
+// small counts most groups have). The rows are taken in blocks of klBlock:
+// each block's ln P^T values accumulate in a stack array, adding the bag
+// terms and subtracting the separator terms in tree order, two terms per
+// pass, and the block is then folded into the sum in row order. Every row
+// adds the same terms in the same order as a per-row evaluation, so the
+// result is that evaluation's, bit for bit.
 func (f *Factorization) KLFromEmpirical() (float64, error) {
 	type term struct {
 		ids  []int32
 		logs []float64 // ±log(count/n) per group: + for bags, − for separators
 	}
 	terms := make([]term, 0, len(f.bagGroups)+len(f.sepGroups))
+	var smallLogs [64]float64 // log(c/n) for the counts c below 64
+	for c := 1; c < len(smallLogs); c++ {
+		smallLogs[c] = math.Log(float64(c) / f.n)
+	}
 	add := func(g *relation.Grouping, sign float64) {
 		logs := make([]float64, g.Groups())
 		for id, c := range g.Counts {
-			logs[id] = sign * math.Log(float64(c)/f.n)
+			if c < len(smallLogs) {
+				logs[id] = sign * smallLogs[c]
+			} else {
+				logs[id] = sign * math.Log(float64(c)/f.n)
+			}
 		}
 		terms = append(terms, term{ids: g.IDs, logs: logs})
 	}
@@ -178,35 +189,43 @@ func (f *Factorization) KLFromEmpirical() (float64, error) {
 	for _, g := range f.sepGroups {
 		add(g, -1)
 	}
-	// lp[i] accumulates row i's terms in order. Each pass over the rows adds
-	// two terms, which halves the loads and stores of lp.
-	lp := make([]float64, len(terms[0].ids))
-	for k := 0; k < len(terms); k += 2 {
-		a := terms[k]
-		aIDs := a.ids[:len(lp)]
-		if k+1 == len(terms) {
-			for i, id := range aIDs {
-				lp[i] += a.logs[id]
-			}
-			break
-		}
-		b := terms[k+1]
-		bIDs := b.ids[:len(lp)]
-		for i, id := range aIDs {
-			lp[i] = lp[i] + a.logs[id] + b.logs[bIDs[i]]
-		}
-	}
 	var d float64
 	invN := 1.0 / f.n
 	logInvN := math.Log(invN)
-	for _, v := range lp {
-		d += invN * (logInvN - v)
+	var lp [klBlock]float64
+	n := len(terms[0].ids)
+	for lo := 0; lo < n; lo += klBlock {
+		blk := lp[:min(klBlock, n-lo)]
+		clear(blk)
+		// Two terms per pass halve the loads and stores of blk.
+		k := 0
+		for ; k+1 < len(terms); k += 2 {
+			a, b := terms[k], terms[k+1]
+			bIDs := b.ids[lo : lo+len(blk)]
+			for j, id := range a.ids[lo : lo+len(blk)] {
+				blk[j] = blk[j] + a.logs[id] + b.logs[bIDs[j]]
+			}
+		}
+		if k < len(terms) {
+			t := terms[k]
+			for j, id := range t.ids[lo : lo+len(blk)] {
+				blk[j] += t.logs[id]
+			}
+		}
+		for _, v := range blk {
+			d += invN * (logInvN - v)
+		}
 	}
 	if d < 0 && d > -1e-9 {
 		d = 0
 	}
 	return d, nil
 }
+
+// klBlock is the number of rows KLFromEmpirical accumulates at a time: small
+// enough that the block's ln P^T values stay in L1 while every term's ids
+// stream past it.
+const klBlock = 256
 
 // Dist materializes the full P^T distribution over the support of the
 // acyclic join ⋈ᵢ R[Ωᵢ] (the support of P^T), keyed by encoded rows in the

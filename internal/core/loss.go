@@ -97,7 +97,9 @@ func lossFromJoinSize(n int, size int64) (Loss, error) {
 // MVDLoss returns the loss ρ(R,φ) of the MVD φ = X ↠ Y|Z (Eq. 28):
 // (|Π_{XY}(R) ⋈ Π_{XZ}(R)| − |R|) / |R|. The join is counted as the two-bag
 // tree {XY, XZ} joined on their shared attributes (X for a well-formed MVD):
-// Σₓ d_XY(x)·d_XZ(x) over the groupings of r's snapshot.
+// Σₓ d_XY(x)·d_XZ(x) over the groupings of r's snapshot. The size is memoized
+// on the snapshot (Snapshot.PairJoinSize), so an MVD shared by many
+// candidate trees is counted once per snapshot.
 func MVDLoss(r *relation.Relation, m jointree.MVD) (Loss, error) {
 	if r.N() == 0 {
 		return Loss{}, fmt.Errorf("core: loss of an empty relation is undefined")
@@ -114,7 +116,9 @@ func mvdLoss(snap *engine.Snapshot, m jointree.MVD) (Loss, error) {
 			shared = append(shared, a)
 		}
 	}
-	size, err := join.CountGroupings(snap, [][]string{xy, xz}, []int{-1, 0}, [][]string{nil, shared})
+	size, err := snap.PairJoinSize(xy, xz, func() (int64, error) {
+		return join.CountGroupings(snap, [][]string{xy, xz}, []int{-1, 0}, [][]string{nil, shared})
+	})
 	if err != nil {
 		return Loss{}, err
 	}

@@ -6,12 +6,13 @@ import (
 )
 
 // This file holds the partition-refinement machinery shared by cold grouping
-// construction, copy-on-write Extend, and the batch planner: a probe
-// structure that maps (parent group id, column value) pairs to child group
-// ids — dense-table backed when the value domain is small, hash-map backed
-// otherwise — and a chunked parallel refinement that splits the row range
-// across a worker pool and merges chunk-local id spaces deterministically,
-// so the parallel path assigns group ids bit-identical to the serial one.
+// construction, copy-on-write Extend, and the batch planner: a transient
+// probe structure that maps (parent group id, column value) pairs to child
+// group ids — dense-table backed when the value domain is small, hash-map
+// backed otherwise — and a chunked parallel refinement that splits the row
+// range across a worker pool and merges chunk-local id spaces
+// deterministically, so the parallel path assigns group ids and first rows
+// bit-identical to the serial one.
 
 // maxProcsCap, when > 0, caps the number of worker goroutines any engine
 // operation (refinement chunks, plan levels, batch evaluation) may use.
@@ -67,21 +68,23 @@ func probeKey(parent int32, val Value) uint64 {
 // probe maps (parent group id, column value) pairs to dense child group ids.
 // Two representations share one interface:
 //
-//   - dense: a flat []int32 table indexed parent*width+value, used when the
+//   - dense: a flat []int32 table indexed parent*width+value holding id+1
+//     (so a freshly allocated, zeroed table is empty), used when the
 //     column's values are small non-negative ints (dictionary encoding makes
 //     this the overwhelmingly common case) and the table fits the budget.
 //     Lookups are one multiply-add and a load — roughly an order of
-//     magnitude cheaper than map operations, which dominated refinement —
-//     and cloning for copy-on-write Extend is a memcpy instead of a rehash.
+//     magnitude cheaper than map operations, which dominated refinement.
 //   - m: the map fallback for wide/negative domains or huge parent counts.
 //
-// A dense probe can still absorb values >= width (a later Extend may append
-// rows with fresh dictionary codes): they spill into the overflow map.
+// A probe is sized for one snapshot: every parent id is below the parent
+// grouping's group count and every value lies in the column's [0, width), so
+// a dense probe never needs a fallback. Probes are transient — refine drops
+// its probe once the grouping is built, and Extend rebuilds one from the
+// grouping's first-occurrence rows (rebuildProbe).
 type probe struct {
-	width    int32 // dense stride (max value + 1); 0 = map-only form
-	dense    []int32
-	m        map[uint64]int32
-	overflow int // entries in m when dense != nil (clone sizing)
+	width int32 // dense stride (max value + 1); 0 = map-only form
+	dense []int32
+	m     map[uint64]int32
 }
 
 // denseProbeBudget bounds the dense table size for an n-row refinement:
@@ -102,23 +105,15 @@ func denseProbeBudget(n int) int {
 // expected number of entries for the map form.
 func newProbe(parents int, width int32, budget, hint int) *probe {
 	if width > 0 && parents > 0 && int64(parents)*int64(width) <= int64(budget) {
-		dense := make([]int32, parents*int(width))
-		for i := range dense {
-			dense[i] = -1
-		}
-		return &probe{width: width, dense: dense}
+		return &probe{width: width, dense: make([]int32, parents*int(width))}
 	}
 	return &probe{m: make(map[uint64]int32, hint)}
 }
 
-// lookup returns the child id for (parent, val), or -1 when absent. Pairs
-// outside the dense table — a value beyond the refine-time maximum or a
-// parent group born in a later Extend — live in the overflow map.
+// lookup returns the child id for (parent, val), or -1 when absent.
 func (p *probe) lookup(parent int32, val Value) int32 {
-	if p.dense != nil && val >= 0 && val < p.width {
-		if idx := int(parent)*int(p.width) + int(val); idx < len(p.dense) {
-			return p.dense[idx]
-		}
+	if p.dense != nil {
+		return p.dense[int(parent)*int(p.width)+int(val)] - 1
 	}
 	if id, ok := p.m[probeKey(parent, val)]; ok {
 		return id
@@ -129,38 +124,26 @@ func (p *probe) lookup(parent int32, val Value) int32 {
 // insert records (parent, val) -> id. The caller has already checked the
 // pair is absent.
 func (p *probe) insert(parent int32, val Value, id int32) {
-	if p.dense != nil && val >= 0 && val < p.width {
-		if idx := int(parent)*int(p.width) + int(val); idx < len(p.dense) {
-			p.dense[idx] = id
-			return
-		}
-	}
-	if p.m == nil {
-		p.m = make(map[uint64]int32)
+	if p.dense != nil {
+		p.dense[int(parent)*int(p.width)+int(val)] = id + 1
+		return
 	}
 	p.m[probeKey(parent, val)] = id
-	if p.dense != nil {
-		p.overflow++
-	}
 }
 
-// clone returns an independent copy sized to absorb about extra more
-// entries; Extend probes the clone so the parent snapshot's probe is never
-// mutated. Dense tables clone by memcpy — the allocation-diet win over
-// rehashing a map per memoized grouping per append batch.
-func (p *probe) clone(extra int) *probe {
-	out := &probe{width: p.width, overflow: p.overflow}
-	if p.dense != nil {
-		out.dense = make([]int32, len(p.dense))
-		copy(out.dense, p.dense)
+// rebuildProbe reconstructs the probe refine used to build g, the refinement
+// of parent by column col, from g's first-occurrence rows: group k's key is
+// (parent id, value) at row First[k]. It costs O(groups) plus the dense
+// table's zeroed allocation. s is the snapshot whose parent grouping and
+// column are passed in, so parent ids and values born since g was built fit
+// the probe too.
+func (s *Snapshot) rebuildProbe(g, parent *Grouping, col, extra int) *probe {
+	column := s.cols[col]
+	pr := newProbe(len(parent.Counts), s.probeWidth(col), denseProbeBudget(s.n), len(g.Counts)+extra)
+	for k, r := range g.First {
+		pr.insert(parent.IDs[r], column[r], int32(k))
 	}
-	if p.m != nil {
-		out.m = make(map[uint64]int32, len(p.m)+extra)
-		for k, v := range p.m {
-			out.m[k] = v
-		}
-	}
-	return out
+	return pr
 }
 
 // refineSerial splits every parent group by column values in one sequential
@@ -169,6 +152,7 @@ func (s *Snapshot) refineSerial(parent *Grouping, col int, pr *probe) *Grouping 
 	column := s.cols[col]
 	ids := make([]int32, s.n, s.n+extendHeadroom(s.n))
 	counts := make([]int, 0, len(parent.Counts)*2)
+	first := make([]int32, 0, len(parent.Counts)*2)
 	if s.weights == nil {
 		for i := 0; i < s.n; i++ {
 			pid := parent.IDs[i]
@@ -178,6 +162,7 @@ func (s *Snapshot) refineSerial(parent *Grouping, col int, pr *probe) *Grouping 
 				id = int32(len(counts))
 				pr.insert(pid, v, id)
 				counts = append(counts, 0)
+				first = append(first, int32(i))
 			}
 			ids[i] = id
 			counts[id]++
@@ -191,23 +176,25 @@ func (s *Snapshot) refineSerial(parent *Grouping, col int, pr *probe) *Grouping 
 				id = int32(len(counts))
 				pr.insert(pid, v, id)
 				counts = append(counts, 0)
+				first = append(first, int32(i))
 			}
 			ids[i] = id
 			counts[id] += int(s.weights[i])
 		}
 	}
-	return &Grouping{IDs: ids, Counts: counts}
+	return &Grouping{IDs: ids, Counts: counts, First: first}
 }
 
 // refineChunk is one worker's share of a parallel refinement: rows [lo, hi)
 // are assigned chunk-local ids (0.. in chunk-first-occurrence order) written
-// into ids[lo:hi], and the chunk reports each local group's (parent, value)
-// key in local-id order plus its local count.
-func (s *Snapshot) refineChunk(parent *Grouping, col int, lo, hi int, ids []int32, width int32, budget int) (keys []uint64, counts []int) {
+// into ids[lo:hi], and the chunk reports, in local-id order, each local
+// group's (parent, value) key, its local count and its first row.
+func (s *Snapshot) refineChunk(parent *Grouping, col int, lo, hi int, ids []int32, width int32, budget int) (keys []uint64, counts []int, first []int32) {
 	column := s.cols[col]
 	local := newProbe(len(parent.Counts), width, budget, (hi-lo)/4+8)
 	keys = make([]uint64, 0, len(parent.Counts)+8)
 	counts = make([]int, 0, len(parent.Counts)+8)
+	first = make([]int32, 0, len(parent.Counts)+8)
 	for i := lo; i < hi; i++ {
 		pid := parent.IDs[i]
 		v := column[i]
@@ -217,6 +204,7 @@ func (s *Snapshot) refineChunk(parent *Grouping, col int, lo, hi int, ids []int3
 			local.insert(pid, v, id)
 			keys = append(keys, probeKey(pid, v))
 			counts = append(counts, 0)
+			first = append(first, int32(i))
 		}
 		ids[i] = id
 		if s.weights == nil {
@@ -225,7 +213,7 @@ func (s *Snapshot) refineChunk(parent *Grouping, col int, lo, hi int, ids []int3
 			counts[id] += int(s.weights[i])
 		}
 	}
-	return keys, counts
+	return keys, counts, first
 }
 
 // refineParallel runs the chunked refinement: chunks scan independently on
@@ -233,9 +221,9 @@ func (s *Snapshot) refineChunk(parent *Grouping, col int, lo, hi int, ids []int3
 // reproduces global first-occurrence order exactly: a group's global first
 // occurrence is in the first chunk that saw it, and local ids are ordered by
 // first occurrence within their chunk), then a second parallel pass rewrites
-// local ids to merged ids. The merged probe is identical to the one the
-// serial scan would have built, so Extend's incremental path is oblivious to
-// which scan produced the grouping.
+// local ids to merged ids. A group's first row is the chunk-local first row
+// of the chunk that created it, so ids, counts and first rows — and the
+// merged probe — are identical to the serial scan's.
 func (s *Snapshot) refineParallel(parent *Grouping, col int, pr *probe, workers int) *Grouping {
 	chunks := workers
 	if max := s.n / refineMinChunk; chunks > max {
@@ -247,15 +235,17 @@ func (s *Snapshot) refineParallel(parent *Grouping, col int, pr *probe, workers 
 	ids := make([]int32, s.n, s.n+extendHeadroom(s.n))
 	chunkKeys := make([][]uint64, chunks)
 	chunkCounts := make([][]int, chunks)
+	chunkFirst := make([][]int32, chunks)
 	budget := denseProbeBudget(s.n)
 	forEach(chunks, workers, func(c int) {
 		lo := c * s.n / chunks
 		hi := (c + 1) * s.n / chunks
-		chunkKeys[c], chunkCounts[c] = s.refineChunk(parent, col, lo, hi, ids, pr.width, budget)
+		chunkKeys[c], chunkCounts[c], chunkFirst[c] = s.refineChunk(parent, col, lo, hi, ids, pr.width, budget)
 	})
 	// Deterministic merge: assign global ids to unseen keys in (chunk,
 	// local-id) order == global first-occurrence order.
 	counts := make([]int, 0, len(chunkCounts[0])*2)
+	first := make([]int32, 0, len(chunkCounts[0])*2)
 	remaps := make([][]int32, chunks)
 	for c := 0; c < chunks; c++ {
 		keys := chunkKeys[c]
@@ -268,6 +258,7 @@ func (s *Snapshot) refineParallel(parent *Grouping, col int, pr *probe, workers 
 				id = int32(len(counts))
 				pr.insert(pid, v, id)
 				counts = append(counts, 0)
+				first = append(first, chunkFirst[c][l])
 			}
 			remap[l] = id
 			counts[id] += chunkCounts[c][l]
@@ -282,22 +273,22 @@ func (s *Snapshot) refineParallel(parent *Grouping, col int, pr *probe, workers 
 			ids[i] = remap[ids[i]]
 		}
 	})
-	return &Grouping{IDs: ids, Counts: counts}
+	return &Grouping{IDs: ids, Counts: counts, First: first}
 }
 
 // refine splits every group of parent by the values of column col. New group
 // ids are assigned in first-occurrence row order, which makes the result —
 // and everything derived from it — deterministic and independent of the
-// worker count. The probe is returned alongside so Extend can probe it
-// (after cloning) for appended rows: incremental and from-scratch
-// construction assign identical ids because both follow stored row order.
-func (s *Snapshot) refine(parent *Grouping, col int) (*Grouping, *probe) {
+// worker count. The probe lives only for the scan: Extend rebuilds it from
+// the grouping's first rows, and incremental and from-scratch construction
+// assign identical ids because both follow stored row order.
+func (s *Snapshot) refine(parent *Grouping, col int) *Grouping {
 	pr := newProbe(len(parent.Counts), s.probeWidth(col), denseProbeBudget(s.n), len(parent.Counts)*2)
 	workers := maxWorkers(0)
 	if s.n >= parallelRefineMinRows && workers > 1 {
-		return s.refineParallel(parent, col, pr, workers), pr
+		return s.refineParallel(parent, col, pr, workers)
 	}
-	return s.refineSerial(parent, col, pr), pr
+	return s.refineSerial(parent, col, pr)
 }
 
 // probeWidth returns the dense-probe stride for column col (its max value

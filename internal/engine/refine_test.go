@@ -18,9 +18,9 @@ func bigRows(t testing.TB, n int) ([]string, []Tuple) {
 
 // TestParallelRefineParity drives refineParallel directly against
 // refineSerial at several worker counts, level by level down a refinement
-// chain: the group ids, counts, and the probe contents must be
-// bit-identical, because Extend's incremental path later probes whichever
-// structure the cold scan built.
+// chain: the group ids, counts, first rows and the probe contents must be
+// bit-identical, because Extend's incremental path rebuilds its probe from
+// the first rows of whichever scan built the grouping.
 func TestParallelRefineParity(t *testing.T) {
 	attrs, rows := bigRows(t, 12000)
 	s := NewSnapshot(attrs, rows)
@@ -102,8 +102,9 @@ func TestRefineDeterministicAcrossGOMAXPROCS(t *testing.T) {
 	for _, procs := range []int{1, 2, 8} {
 		runtime.GOMAXPROCS(procs)
 		s := NewSnapshot(attrs, rows)
-		// Extend past the cold build so the incremental path (probing the
-		// parallel-built probes) is covered at every parallelism too.
+		// Extend past the cold build so the incremental path (rebuilding
+		// probes from parallel-built groupings) is covered at every
+		// parallelism too.
 		s2 := s
 		for _, set := range sets {
 			if _, err := s2.Grouping(set...); err != nil {

@@ -37,8 +37,11 @@ type Tuple = []Value
 
 // Grouping is the multiset projection of a snapshot onto an attribute set in
 // columnar form: IDs[i] is the dense group id (first-occurrence order over
-// stored rows) of row i, and Counts[g] is the multiplicity-weighted number of
-// tuples in group g. len(Counts) is the number of distinct projected rows.
+// stored rows) of row i, Counts[g] is the multiplicity-weighted number of
+// tuples in group g, and First[g] is the first stored row of group g (so
+// First is strictly increasing and IDs[First[g]] == g). len(Counts) is the
+// number of distinct projected rows; First lets a caller visit one
+// representative row per group in O(groups) instead of scanning IDs.
 //
 // Groupings returned by a snapshot are shared, memoized values: callers must
 // not modify them. Unlike the pre-snapshot engine they are frozen — a later
@@ -47,21 +50,25 @@ type Tuple = []Value
 type Grouping struct {
 	IDs    []int32
 	Counts []int
+	First  []int32
 }
 
 // Groups returns the number of distinct groups.
 func (g *Grouping) Groups() int { return len(g.Counts) }
 
-// memoEntry is one memoized grouping together with what copy-on-write
-// extension needs: the sorted column set it projects onto (to order
-// extensions parents-first) and the probe refine built, keyed by
-// (parent group id, column value). Entries are immutable once published;
-// Extend clones Counts and the probe into the child snapshot's entry.
+// memoEntry is one memoized grouping together with the sorted column set it
+// projects onto, which copy-on-write extension needs to order extensions
+// parents-first and to rebuild the refine probe from the grouping's first
+// rows. Entries are immutable once published; Extend copies Counts into the
+// child snapshot's entry.
 type memoEntry struct {
 	g    *Grouping
 	cols []int
-	next *probe // nil for the empty column set
 }
+
+// joinKey names the two-bag join R[a] ⋈ R[b] by its bags' column-set keys,
+// in ascending order (the join is symmetric).
+type joinKey struct{ a, b string }
 
 // Snapshot is an immutable point-in-time view of a tuple set: the columnar
 // data, the (distinct) rows, per-row multiplicities for weighted sources, a
@@ -103,6 +110,7 @@ type Snapshot struct {
 	mu      sync.Mutex
 	memo    map[string]*memoEntry
 	entropy map[string]float64
+	joins   map[joinKey]int64
 }
 
 // NewSnapshot builds generation-1 snapshot of the given distinct rows
@@ -172,6 +180,7 @@ func newSnapshot(attrs []string, rows []Tuple, weights []int64, total int) *Snap
 		colMax:  colMax,
 		memo:    make(map[string]*memoEntry),
 		entropy: make(map[string]float64),
+		joins:   make(map[joinKey]int64),
 	}
 }
 
@@ -292,8 +301,7 @@ func (s *Snapshot) groupingKeyed(key string, cols []int) *Grouping {
 		ent = &memoEntry{g: s.trivialGrouping()}
 	} else {
 		parent := s.grouping(cols[:len(cols)-1])
-		g, next := s.refine(parent, cols[len(cols)-1])
-		ent = &memoEntry{g: g, cols: append([]int(nil), cols...), next: next}
+		ent = &memoEntry{g: s.refine(parent, cols[len(cols)-1]), cols: append([]int(nil), cols...)}
 	}
 	s.mu.Lock()
 	if cached, ok := s.memo[key]; ok {
@@ -311,6 +319,7 @@ func (s *Snapshot) trivialGrouping() *Grouping {
 	g := &Grouping{IDs: make([]int32, s.n, s.n+extendHeadroom(s.n))}
 	if s.n > 0 {
 		g.Counts = []int{s.total}
+		g.First = []int32{0}
 	}
 	return g
 }
@@ -333,6 +342,41 @@ func (s *Snapshot) groupEntropy(cols []int) float64 {
 	return h
 }
 
+// PairJoinSize returns |R[a] ⋈ R[b]| for the relation R the snapshot holds,
+// memoized per snapshot beside the entropy memo: the size is a pure function
+// of the immutable snapshot, and schema fitting asks for the same MVD join
+// (X∪Y, X∪Z) across many candidate trees. On a miss, count computes the size;
+// a count error is returned and not memoized. The memo is keyed by the two
+// attribute sets, unordered, so callers must pass a count that is symmetric
+// in them — any join count is.
+func (s *Snapshot) PairJoinSize(a, b []string, count func() (int64, error)) (int64, error) {
+	ca, err := s.sortedColumns(a)
+	if err != nil {
+		return 0, err
+	}
+	cb, err := s.sortedColumns(b)
+	if err != nil {
+		return 0, err
+	}
+	key := joinKey{colsKey(ca), colsKey(cb)}
+	if key.b < key.a {
+		key.a, key.b = key.b, key.a
+	}
+	s.mu.Lock()
+	size, ok := s.joins[key]
+	s.mu.Unlock()
+	if ok {
+		return size, nil
+	}
+	if size, err = count(); err != nil {
+		return 0, err
+	}
+	s.mu.Lock()
+	s.joins[key] = size
+	s.mu.Unlock()
+	return size, nil
+}
+
 // entropyOfCounts is H = log total − (1/total) Σ c·log c, the numerically
 // stable form for uniform-ish counts. It returns 0 for total ≤ 0.
 func entropyOfCounts(counts []int, total int) float64 {
@@ -352,17 +396,18 @@ func entropyOfCounts(counts []int, total int) float64 {
 // Extend returns a new snapshot covering this snapshot's rows plus the batch
 // of freshly appended (distinct) rows: columns and rows grow, every grouping
 // memoized at call time is extended copy-on-write (appended rows probe a
-// clone of the retained refine maps, so the cost is O(batch × cached sets)
-// plus the O(groups) Counts clone — never O(n)), the generation is bumped,
-// and the entropy memo starts empty (every entropy changes when the total
-// does; the next query recomputes in O(groups) from the already-extended
-// grouping).
+// refine probe rebuilt from the grouping's first-occurrence rows, so the cost
+// is O(batch × cached sets) plus O(groups) for the probe rebuild and the
+// Counts copy — never O(n)), the generation is bumped, and the entropy and
+// join-size memos start empty (every entropy changes when the total does,
+// and a join size can grow with any append; the next query recomputes in
+// O(groups) from the already-extended groupings).
 //
 // The parent snapshot is left untouched: its groupings, counts and entropies
 // keep answering queries for readers that grabbed it before the extension.
-// Backing arrays of columns, rows and grouping IDs are shared where capacity
-// allows — the child only writes indexes ≥ the parent's row count, which the
-// parent never reads.
+// Backing arrays of columns, rows and grouping IDs and First rows are shared
+// where capacity allows — the child only writes indexes ≥ the parent's row
+// (or group) count, which the parent never reads.
 //
 // Extend must be called by at most one writer per snapshot (the owning
 // relation serializes appends); it panics on weighted snapshots.
@@ -412,6 +457,7 @@ func (s *Snapshot) Extend(fresh []Tuple) *Snapshot {
 		colMax:  colMax,
 		memo:    make(map[string]*memoEntry, len(entries)),
 		entropy: make(map[string]float64),
+		joins:   make(map[joinKey]int64),
 	}
 
 	// Record this extend's delta summary: the row range, which dictionaries
@@ -445,26 +491,31 @@ func (s *Snapshot) Extend(fresh []Tuple) *Snapshot {
 	extendOne := func(ent *memoEntry) *memoEntry {
 		if len(ent.cols) == 0 {
 			ids := append(ent.g.IDs[:s.n:cap(ent.g.IDs)], make([]int32, len(fresh))...)
-			return &memoEntry{g: &Grouping{IDs: ids, Counts: []int{child.total}}}
+			return &memoEntry{g: &Grouping{IDs: ids, Counts: []int{child.total}, First: []int32{0}}}
 		}
 		parent := child.memo[colsKey(ent.cols[:len(ent.cols)-1])].g
-		column := child.cols[ent.cols[len(ent.cols)-1]]
-		next := ent.next.clone(len(fresh))
+		col := ent.cols[len(ent.cols)-1]
+		column := child.cols[col]
+		pr := child.rebuildProbe(ent.g, parent, col, len(fresh))
 		counts := append(make([]int, 0, len(ent.g.Counts)+len(fresh)), ent.g.Counts...)
+		// First rows of existing groups never change, so First is shared and
+		// extended in place like IDs.
+		first := ent.g.First[:len(ent.g.First):cap(ent.g.First)]
 		ids := ent.g.IDs[:s.n:cap(ent.g.IDs)]
 		for i := s.n; i < child.n; i++ {
 			pid := parent.IDs[i]
 			v := column[i]
-			id := next.lookup(pid, v)
+			id := pr.lookup(pid, v)
 			if id < 0 {
 				id = int32(len(counts))
-				next.insert(pid, v, id)
+				pr.insert(pid, v, id)
 				counts = append(counts, 0)
+				first = append(first, int32(i))
 			}
 			ids = append(ids, id)
 			counts[id]++
 		}
-		return &memoEntry{g: &Grouping{IDs: ids, Counts: counts}, cols: ent.cols, next: next}
+		return &memoEntry{g: &Grouping{IDs: ids, Counts: counts, First: first}, cols: ent.cols}
 	}
 	workers := maxWorkers(0)
 	for lo := 0; lo < len(entries); {

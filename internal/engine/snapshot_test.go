@@ -41,6 +41,14 @@ func sameGrouping(t *testing.T, label string, got, want *Grouping) {
 			t.Fatalf("%s: count[%d] = %d, want %d", label, g, got.Counts[g], want.Counts[g])
 		}
 	}
+	if len(got.First) != len(want.First) {
+		t.Fatalf("%s: %d first rows, want %d", label, len(got.First), len(want.First))
+	}
+	for g := range got.First {
+		if got.First[g] != want.First[g] {
+			t.Fatalf("%s: first[%d] = %d, want %d", label, g, got.First[g], want.First[g])
+		}
+	}
 }
 
 // TestExtendParity: a chain of Extends must assign exactly the group ids,

@@ -231,14 +231,14 @@ func CountTree(t *jointree.JoinTree, rels []*relation.Relation) (int64, error) {
 // is the attribute set bag i shares with its parent.
 //
 // Each group of a bag's grouping is one distinct tuple of R[bag], and the
-// first row of the group represents it (group ids are dense in
-// first-occurrence order). Read at that row, an edge's separator grouping
-// names the tuple's separator value in the same snapshot, so messages are
-// int64 slices over dense separator group ids: no projected relation, no row
-// key and no cross-relation alignment is built. Projections of one relation
-// are globally consistent (Beeri et al. 1983), so no reduction pass is
-// needed. Groupings missing from the snapshot's memo are computed on demand.
-// Independently sourced bag relations go through CountTree instead.
+// group's first row (Grouping.First) represents it. Read at that row, an
+// edge's separator grouping names the tuple's separator value in the same
+// snapshot, so messages are int64 slices over dense separator group ids: no
+// projected relation, no row key and no cross-relation alignment is built,
+// and the count costs O(groups) per bag, not O(rows). Projections of one
+// relation are globally consistent (Beeri et al. 1983), so no reduction pass
+// is needed. Groupings missing from the snapshot's memo are computed on
+// demand. Independently sourced bag relations go through CountTree instead.
 func CountGroupings(snap *engine.Snapshot, bags [][]string, parent []int, seps [][]string) (int64, error) {
 	m := len(bags)
 	if m == 0 || len(parent) != m || len(seps) != m || parent[0] != -1 {
@@ -268,16 +268,7 @@ func CountGroupings(snap *engine.Snapshot, bags [][]string, parent []int, seps [
 
 	var total int64
 	for pos := m - 1; pos >= 0; pos-- {
-		ids, groups := bagG[pos].IDs, int32(bagG[pos].Groups())
-		next := int32(0)
-		for i := 0; i < len(ids) && next < groups; i++ {
-			if ids[i] != next {
-				if ids[i] > next {
-					return 0, fmt.Errorf("join: bag %d grouping ids are not in first-occurrence order", pos)
-				}
-				continue
-			}
-			next++
+		for _, i := range bagG[pos].First {
 			w := int64(1)
 			var err error
 			for _, c := range kids[pos] {
