@@ -3,6 +3,8 @@ package service
 import (
 	"bytes"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 
@@ -71,6 +73,48 @@ func BenchmarkServeMixed(b *testing.B) {
 			})
 			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "req/s")
 		})
+	}
+}
+
+// BenchmarkHandlerHit measures the HTTP hit path in-process: NewHandler
+// driven through httptest.NewRecorder over a warmed key set shaped like the
+// perfbench hot-mixed workload (analyze, entropy, POST batch and discover on
+// a 10k-row relation, a quarter on the legacy routes). Every timed request
+// is an LRU hit, so routing, body decode, validation, schema parsing, key
+// building and the response write are what it measures.
+func BenchmarkHandlerHit(b *testing.B) {
+	s := benchService(b, 10000, 256)
+	h := NewHandler(s)
+	type req struct{ method, path, body string }
+	batch := func(qs string) string { return `{"dataset":"bench","queries":[` + qs + `]}` }
+	keys := []req{
+		{"GET", "/v1/default/analyze?dataset=bench&schema=A,B|B,C|C,D|D,E|E,F", ""},
+		{"GET", "/v1/default/analyze?dataset=bench&schema=A,B,C|C,D,E|E,F", ""},
+		{"GET", "/analyze?dataset=bench&schema=A,B,C,D|D,E,F", ""},
+		{"GET", "/v1/default/entropy?dataset=bench&attrs=A,B", ""},
+		{"GET", "/entropy?dataset=bench&attrs=C,D", ""},
+		{"GET", "/v1/default/entropy?dataset=bench&attrs=A,E,F", ""},
+		{"GET", "/v1/default/entropy?dataset=bench&attrs=B", ""},
+		{"POST", "/v1/default/batch", batch(`{"kind":"entropy","attrs":["A","B"]},{"kind":"mi","a":["A"],"b":["C"]},{"kind":"fd","x":["A","B"],"y":["C"]}`)},
+		{"POST", "/batch", batch(`{"kind":"entropy","attrs":["C","D","E"]},{"kind":"mi","a":["D"],"b":["E","F"]},{"kind":"fd","x":["D","E"],"y":["F"]}`)},
+		{"POST", "/v1/default/batch", batch(`{"kind":"entropy","attrs":["A","F"]},{"kind":"mi","a":["B"],"b":["F"]},{"kind":"fd","x":["B","C"],"y":["A"]}`)},
+		{"GET", "/v1/default/discover?dataset=bench&target=0.01&maxsep=1", ""},
+		{"GET", "/discover?dataset=bench&target=0.05&maxsep=1", ""},
+	}
+	serveKey := func(k req) {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(k.method, k.path, strings.NewReader(k.body)))
+		if rec.Code != http.StatusOK {
+			b.Fatalf("%s %s: %d %s", k.method, k.path, rec.Code, rec.Body)
+		}
+	}
+	for _, k := range keys {
+		serveKey(k)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		serveKey(keys[i%len(keys)])
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"strconv"
 	"strings"
@@ -341,12 +342,38 @@ func queryBool(s string) (bool, error) {
 	return v, nil
 }
 
+// encodeJSON is the one encoding of every response body: two-space indent
+// and a trailing newline.
+func encodeJSON(v any) ([]byte, error) {
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(v); err != nil {
+		return nil, err
+	}
+	return buf.Bytes(), nil
+}
+
+// writeJSON writes v as the response body. A cached view (one embedding
+// cachedBody) is written from its memoized bytes, filled by the first write
+// that serves it, so an LRU hit costs one Write. The body is encoded before
+// the status goes out: a value that cannot be encoded (a NaN, say) answers
+// 500 with the error envelope instead of a success status and an empty body.
 func writeJSON(w http.ResponseWriter, status int, v any) {
+	var body []byte
+	var err error
+	if c, ok := v.(interface{ encoded(any) ([]byte, error) }); ok {
+		body, err = c.encoded(v)
+	} else {
+		body, err = encodeJSON(v)
+	}
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, fmt.Errorf("service: encoding response: %w", err))
+		return
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	_, _ = w.Write(body)
 }
 
 func writeError(w http.ResponseWriter, status int, err error) {
@@ -382,12 +409,14 @@ func queryList(s string) []string {
 	return out
 }
 
-// queryFloat parses a non-negative numeric query parameter; absent means
-// def. The parameter name is part of both error messages — a request with
-// several numeric parameters must not make the caller guess which one was
-// bad — and negatives are rejected here, once, instead of surfacing later as
-// a confusing domain error (a negative discovery target or separator budget
-// has no meaning anywhere in the API).
+// queryFloat parses a finite, non-negative numeric query parameter; absent
+// means def. The parameter name is part of every error message — a request
+// with several numeric parameters must not make the caller guess which one
+// was bad — and negatives are rejected here, once, instead of surfacing
+// later as a confusing domain error (a negative discovery target or
+// separator budget has no meaning anywhere in the API). NaN and ±Inf
+// ("NaN", "inf", "Infinity" all parse) are rejected too: no response could
+// encode them.
 func queryFloat(name, s string, def float64) (float64, error) {
 	if s == "" {
 		return def, nil
@@ -395,6 +424,9 @@ func queryFloat(name, s string, def float64) (float64, error) {
 	v, err := strconv.ParseFloat(s, 64)
 	if err != nil {
 		return 0, fmt.Errorf("service: bad numeric parameter %s=%q", name, s)
+	}
+	if math.IsNaN(v) || math.IsInf(v, 0) {
+		return 0, fmt.Errorf("service: parameter %s must be finite, got %s", name, s)
 	}
 	if v < 0 {
 		return 0, fmt.Errorf("service: parameter %s must be non-negative, got %s", name, s)

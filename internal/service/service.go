@@ -3,6 +3,7 @@ package service
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -241,15 +242,36 @@ func requestKey(d *Dataset, gen int64) string {
 // old-generation entry in the bounded LRU. The check and the Add are not one
 // atomic step — the window shrinks to a few instructions, and an entry
 // parked by a loss is unservable but harmless and ages out by eviction.
+//
+// Every view fn returns carries a body memo (cachedBody), so the HTTP layer
+// encodes a cached result once, on its first write, and writes the same bytes
+// on every hit. Anything fn sets on the view (Generation, MVDs, Results[i])
+// is set inside fn, before the view is shared; afterwards it is read-only.
 func (s *Service) do(d *Dataset, key string, keyGen int64, fn func() (any, error)) (any, error) {
+	if v, ok := s.lookup(d, key); ok {
+		return v, nil
+	}
+	return s.compute(d, key, keyGen, fn)
+}
+
+// lookup counts one request against d and answers it from the LRU if key is
+// cached. do's first half: a miss continues with compute.
+func (s *Service) lookup(d *Dataset, key string) (any, bool) {
 	n := d.ns
 	s.requests.Add(1)
 	n.requests.Add(1)
-	if v, ok := s.cache.Get(key); ok {
+	v, ok := s.cache.Get(key)
+	if ok {
 		s.cacheHits.Add(1)
 		n.cacheHits.Add(1)
-		return v, nil
 	}
+	return v, ok
+}
+
+// compute is do's second half, for a request lookup already counted and
+// missed.
+func (s *Service) compute(d *Dataset, key string, keyGen int64, fn func() (any, error)) (any, error) {
+	n := d.ns
 	v, err, shared := s.sf.Do(key, func() (any, error) {
 		s.computed.Add(1)
 		n.computed.Add(1)
@@ -266,9 +288,7 @@ func (s *Service) do(d *Dataset, key string, keyGen int64, fn func() (any, error
 		n.coalesced.Add(1)
 	}
 	if err != nil {
-		s.errors.Add(1)
-		n.errors.Add(1)
-		return nil, err
+		return nil, s.fail(n, err)
 	}
 	return v, nil
 }
@@ -278,9 +298,16 @@ func (s *Service) do(d *Dataset, key string, keyGen int64, fn func() (any, error
 // (unknown namespace): the request still counts service-wide.
 func (s *Service) reject(n *namespace, err error) error {
 	s.requests.Add(1)
-	s.errors.Add(1)
 	if n != nil {
 		n.requests.Add(1)
+	}
+	return s.fail(n, err)
+}
+
+// fail counts err against a request that has already been counted.
+func (s *Service) fail(n *namespace, err error) error {
+	s.errors.Add(1)
+	if n != nil {
 		n.errors.Add(1)
 	}
 	return err
@@ -335,26 +362,32 @@ func (s *Service) AnalyzeIn(ns, dataset, schemaStr string) (*ReportView, error) 
 	if err != nil {
 		return nil, s.reject(nsObj, err)
 	}
-	if !jointree.IsAcyclic(schema) {
-		return nil, s.reject(nsObj, fmt.Errorf("service: schema %s is cyclic; only acyclic schemas have join trees", schema))
-	}
 	// Grab the frozen view once (one atomic load): the whole report — and its
 	// echoed generation — is computed against this snapshot, lock-free,
 	// regardless of concurrent appends.
 	rel := d.View()
 	keyGen := rel.Generation()
-	key := requestKey(d, keyGen) + "analyze|" + schema.String()
-	v, err := s.do(d, key, keyGen, func() (any, error) {
-		rep, err := core.Analyze(rel, schema)
-		if err != nil {
+	key := requestKey(d, keyGen) + "analyze|" + attrsKey(schema.Bags()...)
+	v, ok := s.lookup(d, key)
+	if !ok {
+		// The GYO check runs only on a miss. A hit needs none: only
+		// successful analyses are cached, and the key determines the bags
+		// and so their acyclicity, so a cached key is known to be acyclic.
+		if !jointree.IsAcyclic(schema) {
+			return nil, s.fail(d.ns, fmt.Errorf("service: schema %s is cyclic; only acyclic schemas have join trees", schema))
+		}
+		if v, err = s.compute(d, key, keyGen, func() (any, error) {
+			rep, err := core.Analyze(rel, schema)
+			if err != nil {
+				return nil, err
+			}
+			view := NewReportView(rep)
+			view.cachedBody = newCachedBody()
+			view.Generation = keyGen
+			return view, nil
+		}); err != nil {
 			return nil, err
 		}
-		view := NewReportView(rep)
-		view.Generation = keyGen
-		return view, nil
-	})
-	if err != nil {
-		return nil, err
 	}
 	return v.(*ReportView), nil
 }
@@ -441,6 +474,7 @@ func (s *Service) DiscoverIn(ns, dataset string, target float64, maxSep int) (*D
 		if err != nil {
 			return nil, err
 		}
+		view.cachedBody = newCachedBody()
 		view.Generation = keyGen
 		return view, nil
 	})
@@ -563,6 +597,7 @@ func (s *Service) EntropyIn(ns, dataset string, attrs, a, b, given []string) (*E
 			return nil, err
 		}
 		return &EntropyView{
+			cachedBody: newCachedBody(),
 			Dataset:    d.Name,
 			Kind:       kind,
 			Attrs:      attrs,
@@ -578,7 +613,17 @@ func (s *Service) EntropyIn(ns, dataset string, attrs, a, b, given []string) (*E
 	if err != nil {
 		return nil, err
 	}
-	return v.(*EntropyView), nil
+	// The key sorts each list, so a hit (or a coalesced request) may have
+	// been computed for another caller's spelling: echo this caller's own
+	// lists from a copy, encoded fresh. The same spelling keeps the memo.
+	ev := v.(*EntropyView)
+	if !slices.Equal(ev.Attrs, attrs) || !slices.Equal(ev.A, a) || !slices.Equal(ev.B, b) || !slices.Equal(ev.Given, given) {
+		cp := *ev
+		cp.cachedBody = cachedBody{}
+		cp.Attrs, cp.A, cp.B, cp.Given = attrs, a, b, given
+		ev = &cp
+	}
+	return ev, nil
 }
 
 // maxBatchQueries bounds one POST /batch body: far beyond any dashboard's
@@ -660,6 +705,7 @@ func (s *Service) BatchIn(ns, dataset string, qs []BatchQuery) (*BatchView, erro
 		p.Run(0)
 		memo := d.discoverMemo()
 		view := &BatchView{
+			cachedBody: newCachedBody(),
 			Dataset:    d.Name,
 			Rows:       rel.N(),
 			Generation: keyGen,
@@ -694,5 +740,27 @@ func (s *Service) BatchIn(ns, dataset string, qs []BatchQuery) (*BatchView, erro
 	if err != nil {
 		return nil, err
 	}
-	return v.(*BatchView), nil
+	// As in EntropyIn: a hit may carry another caller's spelling of the same
+	// batch ("MI" for "mi", attributes reordered). Echo this caller's queries
+	// from a copy, encoded fresh; the answers themselves are shared.
+	bv := v.(*BatchView)
+	for i := range qs {
+		if !sameQuery(bv.Results[i].Query, qs[i]) {
+			cp := *bv
+			cp.cachedBody = cachedBody{}
+			cp.Results = make([]BatchResultView, len(qs))
+			for j, r := range bv.Results {
+				r.Query = qs[j]
+				cp.Results[j] = r
+			}
+			return &cp, nil
+		}
+	}
+	return bv, nil
+}
+
+// sameQuery reports whether two batch queries are spelled identically.
+func sameQuery(p, q BatchQuery) bool {
+	return p.Kind == q.Kind && slices.Equal(p.Attrs, q.Attrs) && slices.Equal(p.Given, q.Given) &&
+		slices.Equal(p.A, q.A) && slices.Equal(p.B, q.B) && slices.Equal(p.X, q.X) && slices.Equal(p.Y, q.Y)
 }

@@ -7,11 +7,45 @@
 package service
 
 import (
+	"sync"
+
 	"ajdloss/internal/core"
 	"ajdloss/internal/discovery"
 	"ajdloss/internal/infotheory"
 	"ajdloss/internal/jointree"
 )
+
+// bodyMemo is the encoded HTTP body of one cached view. The view is shared
+// and immutable once Service.do publishes it, so its encoding never changes:
+// the first writeJSON that serves the view fills the memo, and every later
+// LRU hit writes the same bytes without re-encoding. A failed encoding is
+// memoized too, so every hit answers the same 500.
+type bodyMemo struct {
+	once sync.Once
+	body []byte
+	err  error
+}
+
+// cachedBody is embedded in the four view types Service.do caches
+// (ReportView, EntropyView, BatchView, DiscoverView). The memo is set when
+// the view is built inside do's closure, before the view is shared; a view
+// without one (built elsewhere, or a per-caller copy of a cached view) is
+// encoded fresh on every write. encoding/json ignores the embedded struct,
+// which has no exported fields, and the pointer keeps copies of a view free
+// of the sync.Once.
+type cachedBody struct{ memo *bodyMemo }
+
+func newCachedBody() cachedBody { return cachedBody{memo: new(bodyMemo)} }
+
+// encoded returns the body of v, the view that embeds c: encodeJSON(v),
+// computed once per memo.
+func (c cachedBody) encoded(v any) ([]byte, error) {
+	if c.memo == nil {
+		return encodeJSON(v)
+	}
+	c.memo.once.Do(func() { c.memo.body, c.memo.err = encodeJSON(v) })
+	return c.memo.body, c.memo.err
+}
 
 // LossView is the serializable form of core.Loss.
 type LossView struct {
@@ -54,8 +88,11 @@ type MVDTermView struct {
 }
 
 // ReportView is the serializable form of core.Report: every quantity the
-// paper relates, side by side, plus both J units for convenience.
+// paper relates, side by side, plus both J units for convenience. Like every
+// cached view it carries a body memo (cachedBody): once shared it must not be
+// modified, because its first HTTP write fixes the bytes every hit serves.
 type ReportView struct {
+	cachedBody
 	Schema     string        `json:"schema"`
 	Bags       [][]string    `json:"bags"`
 	N          int           `json:"n"`
@@ -131,7 +168,9 @@ type MVDCandidateView struct {
 
 // DiscoverView is the result of a discovery request: the Chow-Liu tree, the
 // best coarsened candidate at the target, and the mined approximate MVDs.
+// It is cached with a body memo, like ReportView.
 type DiscoverView struct {
+	cachedBody
 	Dataset      string             `json:"dataset"`
 	Rows         int                `json:"rows"`
 	Generation   int64              `json:"generation"`
@@ -146,8 +185,11 @@ type DiscoverView struct {
 // EntropyView is the result of an entropy/MI/CMI query. Rows and Generation
 // identify the dataset state the value was computed against: both are read
 // under the same lock as the measure, so a response can never pair one
-// generation's label with another generation's number.
+// generation's label with another generation's number. It is cached with a
+// body memo, like ReportView; a hit spelled differently from the cached
+// request gets a copy without one (see EntropyIn).
 type EntropyView struct {
+	cachedBody
 	Dataset    string   `json:"dataset"`
 	Kind       string   `json:"kind"` // "entropy", "conditional_entropy", "mi", "cmi"
 	Attrs      []string `json:"attrs,omitempty"`
@@ -213,7 +255,10 @@ type BatchResultView struct {
 
 // BatchView is the result of a batch request: every query answered against
 // one snapshot — Rows and Generation identify it — in a single round trip.
+// It is cached with a body memo, like ReportView; a hit spelled differently
+// from the cached request gets a copy without one (see BatchIn).
 type BatchView struct {
+	cachedBody
 	Dataset    string            `json:"dataset"`
 	Rows       int               `json:"rows"`
 	Generation int64             `json:"generation"`
