@@ -2,7 +2,7 @@ package ajdloss
 
 // Exact-parity harness for loss counting on snapshot groupings: on random
 // relations and random acyclic schemas, every join size and spurious count
-// the production path (join.CountGroupings, behind core.ComputeLoss,
+// the production path (join.CountGroupingsCols, behind core.ComputeLoss,
 // ComputeLossTree, MVDLoss and Analyze) returns must equal, as an integer,
 // the projection baseline — join.CountTree over join.Projections for trees,
 // Relation.JoinCount over Relation.Project for MVDs — computed on an

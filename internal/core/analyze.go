@@ -6,8 +6,6 @@ import (
 	"sort"
 	"strings"
 
-	"ajdloss/internal/engine"
-	"ajdloss/internal/infotheory"
 	"ajdloss/internal/jointree"
 	"ajdloss/internal/relation"
 )
@@ -43,114 +41,85 @@ type Report struct {
 // definition Ωᵢ ⊄ Ω_j: both ρ and J are invariant under the reduction, and
 // Proposition 5.1 requires it.
 func Analyze(r *relation.Relation, s *jointree.Schema) (*Report, error) {
-	if r.N() == 0 {
-		return nil, fmt.Errorf("core: cannot analyze an empty relation")
-	}
-	if err := checkCoverage(r, s); err != nil {
+	if err := checkInput(r, s); err != nil {
 		return nil, err
 	}
-	s = s.Reduced()
-	t, err := jointree.BuildJoinTree(s)
+	t, err := jointree.BuildJoinTree(s.Reduced())
 	if err != nil {
 		return nil, err
 	}
+	return analyzeTree(r, t)
+}
+
+// AnalyzeTree is Analyze for t, the join tree the caller already built with
+// GYO from s.Reduced(): callers that must build the tree anyway to check
+// acyclicity pass it here instead of building it twice. Coverage is checked
+// against s as given, so errors name the caller's schema.
+func AnalyzeTree(r *relation.Relation, s *jointree.Schema, t *jointree.JoinTree) (*Report, error) {
+	if err := checkInput(r, s); err != nil {
+		return nil, err
+	}
+	return analyzeTree(r, t)
+}
+
+// checkInput rejects an empty relation and a schema that misses one of its
+// attributes.
+func checkInput(r *relation.Relation, s *jointree.Schema) error {
+	if r.N() == 0 {
+		return fmt.Errorf("core: cannot analyze an empty relation")
+	}
+	return checkCoverage(r, s)
+}
+
+// analyzeTree evaluates the report of t, a join tree of a reduced schema,
+// on one snapshot of r: the report sees one consistent generation even if
+// r is appended to concurrently.
+//
+// The tree is compiled once into the column sets every figure reads (see
+// compiled), and one engine plan computes their entropies — shared
+// refinements (bag prefixes, separators, CMI terms) exactly once, independent
+// ones on the worker pool. J, the sandwich and the decomposition then only
+// combine table values; the loss counts and the KL check read the bag,
+// separator and MVD-side groupings the plan memoized. The exact telescoping
+// terms are not compiled: the report has none.
+func analyzeTree(r *relation.Relation, t *jointree.JoinTree) (*Report, error) {
 	rooted, err := jointree.Root(t, 0)
 	if err != nil {
 		return nil, err
 	}
-	rep := &Report{Schema: s, Tree: t, N: r.N()}
-
-	// Warm every entropy the report needs through one batch plan against the
-	// relation's current snapshot: the plan orders the attribute sets
-	// parents-first in the subset lattice (shared refinements — bag prefixes,
-	// separators, CMI terms — are computed exactly once) and runs independent
-	// nodes on a worker pool. The sequential measure code below then only
-	// combines memoized values. Every measure — entropies, the KL check and
-	// the loss counts, which read the bag, separator and MVD-side groupings
-	// the plan memoized — uses the captured snapshot, so the report sees one
-	// consistent generation even if the relation is appended to concurrently.
 	snap := r.Snapshot()
-	if err := warmReportPlan(snap, rooted); err != nil {
+	c, err := compile(snap, t)
+	if err != nil {
 		return nil, err
 	}
+	if err := c.root(rooted); err != nil {
+		return nil, err
+	}
+	c.prefixTerms(false)
+	c.warm()
 
-	if rep.J, err = JMeasure(snap, t); err != nil {
-		return nil, err
-	}
-	f, err := newFactorization(r, snap, rooted)
+	rep := &Report{Schema: t.Schema(), Tree: t, N: snap.N()}
+	rep.J = c.jmeasure()
+	f, err := newFactorization(r, snap, rooted, c.rbags, c.rseps)
 	if err != nil {
 		return nil, err
 	}
 	if rep.KL, err = f.KLFromEmpirical(); err != nil {
 		return nil, err
 	}
-	dec, err := computeDecomposition(snap, rooted)
+	dec, err := c.decomposition()
 	if err != nil {
 		return nil, err
 	}
 	rep.Loss = dec.Schema
 	rep.PerMVD = dec.Terms
 	rep.SumLogLoss = dec.SumLogLoss
-	sandwich, err := ComputeSandwich(snap, rooted)
-	if err != nil {
-		return nil, err
-	}
+	sandwich := c.sandwich()
 	rep.MaxCMI = sandwich.Max
 	rep.SumCMI = sandwich.Sum
 	rep.RhoLower = RhoLowerBound(rep.J)
 	rep.Lossless = rep.Loss.Spurious == 0
 	return rep, nil
-}
-
-// warmReportPlan enqueues every entropy a full report reads — bag and
-// separator entropies for J, the prefix/suffix and exact CMI terms of the
-// Theorem 2.2 sandwich, and the edge-MVD CMI terms shared by the sandwich
-// lower bound and the Proposition 5.1 decomposition — into one engine plan
-// and runs it. addCMI mirrors infotheory.ConditionalMutualInformation's
-// decomposition I(A;B|C) = H(BC) + H(AC) − H(ABC) − H(C). The same sets
-// hold every grouping the loss counts read: bags and separators for the
-// schema's join, X∪Y, X∪Z and X for each edge MVD.
-func warmReportPlan(snap *engine.Snapshot, rooted *jointree.Rooted) error {
-	p := snap.Plan()
-	addCMI := func(a, b, c []string) error {
-		for _, set := range [][]string{
-			infotheory.Union(b, c), infotheory.Union(a, c), infotheory.Union(a, b, c), c,
-		} {
-			if err := p.AddEntropy(set...); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	t := rooted.Tree
-	for _, bag := range t.Bags {
-		if err := p.AddEntropy(bag...); err != nil {
-			return err
-		}
-	}
-	for e := range t.Edges {
-		if err := p.AddEntropy(t.Separator(e)...); err != nil {
-			return err
-		}
-	}
-	if err := p.AddEntropy(t.Attrs()...); err != nil {
-		return err
-	}
-	for i := 1; i < len(rooted.Order); i++ {
-		if err := addCMI(rooted.Prefix(i-1), rooted.Suffix(i), rooted.Sep[i]); err != nil {
-			return err
-		}
-		if err := addCMI(rooted.Prefix(i-1), rooted.Bag(i), rooted.Sep[i]); err != nil {
-			return err
-		}
-	}
-	for _, m := range t.EdgeMVDs() {
-		if err := addCMI(m.Y, m.Z, m.X); err != nil {
-			return err
-		}
-	}
-	p.Run(0)
-	return nil
 }
 
 // checkCoverage verifies that the schema's bags cover every attribute of r.

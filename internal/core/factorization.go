@@ -31,11 +31,12 @@ type Factorization struct {
 	// snapshot of r.
 	bagGroups []*relation.Grouping
 	sepGroups []*relation.Grouping
-	// bagCols/sepCols are column positions in r, used by the lazy lookup.
-	bagCols [][]int
-	sepCols [][]int
 
+	// The lazy lookup: string-keyed marginal maps, and the column positions
+	// in r of each bag and separator in its own attribute order.
 	lookupOnce sync.Once
+	bagCols    [][]int
+	sepCols    [][]int
 	bagLookup  []map[string]int
 	sepLookup  []map[string]int
 	lookupErr  error
@@ -44,34 +45,27 @@ type Factorization struct {
 // NewFactorization builds the P^T evaluator for the empirical distribution
 // of r and the rooted join tree.
 func NewFactorization(r *relation.Relation, rooted *jointree.Rooted) (*Factorization, error) {
-	return newFactorization(r, r.Snapshot(), rooted)
+	snap := r.Snapshot()
+	bags, seps, err := rootedCols(snap, rooted)
+	if err != nil {
+		return nil, err
+	}
+	return newFactorization(r, snap, rooted, bags, seps)
 }
 
 // newFactorization is NewFactorization reading its marginals off snap, a
-// snapshot of r.
-func newFactorization(r *relation.Relation, snap *engine.Snapshot, rooted *jointree.Rooted) (*Factorization, error) {
+// snapshot of r, for the rooted tree's DFS-ordered bag and separator column
+// sets (see rootedCols).
+func newFactorization(r *relation.Relation, snap *engine.Snapshot, rooted *jointree.Rooted, bags, seps [][]int) (*Factorization, error) {
 	if snap.N() == 0 {
 		return nil, fmt.Errorf("core: factorization of an empty relation")
 	}
 	f := &Factorization{r: r, rooted: rooted, n: float64(snap.N())}
-	m := len(rooted.Order)
-	for i := 0; i < m; i++ {
-		bag := rooted.Bag(i)
-		g, err := snap.Grouping(bag...)
-		if err != nil {
-			return nil, err
-		}
-		f.bagGroups = append(f.bagGroups, g)
-		f.bagCols = append(f.bagCols, r.MustColumns(bag))
+	for _, cols := range bags {
+		f.bagGroups = append(f.bagGroups, snap.GroupingCols(cols))
 	}
-	for i := 1; i < m; i++ {
-		sep := rooted.Sep[i]
-		g, err := snap.Grouping(sep...)
-		if err != nil {
-			return nil, err
-		}
-		f.sepGroups = append(f.sepGroups, g)
-		f.sepCols = append(f.sepCols, r.MustColumns(sep))
+	for _, cols := range seps[1:] {
+		f.sepGroups = append(f.sepGroups, snap.GroupingCols(cols))
 	}
 	return f, nil
 }
@@ -82,20 +76,24 @@ func (f *Factorization) lookups() ([]map[string]int, []map[string]int, error) {
 	f.lookupOnce.Do(func() {
 		m := len(f.rooted.Order)
 		for i := 0; i < m; i++ {
-			counts, err := f.r.ProjectCounts(f.rooted.Bag(i)...)
+			bag := f.rooted.Bag(i)
+			counts, err := f.r.ProjectCounts(bag...)
 			if err != nil {
 				f.lookupErr = err
 				return
 			}
 			f.bagLookup = append(f.bagLookup, counts)
+			f.bagCols = append(f.bagCols, f.r.MustColumns(bag))
 		}
 		for i := 1; i < m; i++ {
-			counts, err := f.r.ProjectCounts(f.rooted.Sep[i]...)
+			sep := f.rooted.Sep[i]
+			counts, err := f.r.ProjectCounts(sep...)
 			if err != nil {
 				f.lookupErr = err
 				return
 			}
 			f.sepLookup = append(f.sepLookup, counts)
+			f.sepCols = append(f.sepCols, f.r.MustColumns(sep))
 		}
 	})
 	return f.bagLookup, f.sepLookup, f.lookupErr

@@ -24,33 +24,32 @@ import (
 //
 // J depends only on the schema defined by the tree, not the tree shape
 // (verified property-style in tests). It returns an error if the tree uses
-// attributes absent from r.
+// attributes absent from r, or if r has no snapshot (relations, multisets and
+// snapshots all have one).
 func JMeasure(r infotheory.Source, t *jointree.JoinTree) (float64, error) {
-	var sum float64
-	for _, bag := range t.Bags {
-		h, err := infotheory.Entropy(r, bag...)
-		if err != nil {
-			return 0, err
-		}
-		sum += h
-	}
-	for e := range t.Edges {
-		h, err := infotheory.Entropy(r, t.Separator(e)...)
-		if err != nil {
-			return 0, err
-		}
-		sum -= h
-	}
-	hAll, err := infotheory.Entropy(r, t.Attrs()...)
+	c, err := compile(r, t)
 	if err != nil {
 		return 0, err
 	}
-	j := sum - hAll
+	return c.jmeasure(), nil
+}
+
+// jmeasure evaluates Eq. 7 from the compiled table: bags in tree order, then
+// separators in edge order, then χ(T).
+func (c *compiled) jmeasure() float64 {
+	var sum float64
+	for _, b := range c.bags {
+		sum += c.entropy(b)
+	}
+	for _, s := range c.seps {
+		sum -= c.entropy(s)
+	}
+	j := sum - c.entropy(c.all)
 	// J(T) = D_KL(P‖P^T) ≥ 0; clamp floating-point residue.
 	if j < 0 && j > -1e-9 {
 		j = 0
 	}
-	return j, nil
+	return j
 }
 
 // JMeasureSchema returns J(S) for an acyclic schema by building a join tree
@@ -98,37 +97,38 @@ type Sandwich struct {
 
 // ComputeSandwich evaluates the Theorem 2.2 terms for the rooted tree.
 func ComputeSandwich(r infotheory.Source, rooted *jointree.Rooted) (*Sandwich, error) {
+	c, err := compile(r, rooted.Tree)
+	if err != nil {
+		return nil, err
+	}
+	if err := c.root(rooted); err != nil {
+		return nil, err
+	}
+	c.prefixTerms(true)
+	return c.sandwich(), nil
+}
+
+// sandwich evaluates the compiled sandwich terms: the exact terms only if
+// prefixTerms was asked for them.
+func (c *compiled) sandwich() *Sandwich {
 	s := &Sandwich{}
-	m := len(rooted.Order)
-	for i := 1; i < m; i++ {
-		suffix, err := infotheory.ConditionalMutualInformation(r, rooted.Prefix(i-1), rooted.Suffix(i), rooted.Sep[i])
-		if err != nil {
-			return nil, err
-		}
+	for i, t := range c.suffix {
+		suffix := c.cmi(t)
 		s.SuffixTerms = append(s.SuffixTerms, suffix)
 		s.Sum += suffix
-		exact, err := infotheory.ConditionalMutualInformation(r, rooted.Prefix(i-1), rooted.Bag(i), rooted.Sep[i])
-		if err != nil {
-			return nil, err
+		if c.exact != nil {
+			s.ExactTerms = append(s.ExactTerms, c.cmi(c.exact[i]))
 		}
-		s.ExactTerms = append(s.ExactTerms, exact)
 	}
-	for _, m := range rooted.Tree.EdgeMVDs() {
-		term, err := infotheory.ConditionalMutualInformation(r, m.Y, m.Z, m.X)
-		if err != nil {
-			return nil, err
-		}
+	for _, t := range c.edge {
+		term := c.cmi(t)
 		s.EdgeTerms = append(s.EdgeTerms, term)
 		if term > s.Max {
 			s.Max = term
 		}
 	}
-	j, err := JMeasure(r, rooted.Tree)
-	if err != nil {
-		return nil, err
-	}
-	s.J = j
-	return s, nil
+	s.J = c.jmeasure()
+	return s
 }
 
 // Check verifies max ≤ J ≤ sum — and the exact telescoping identity — up to

@@ -3,10 +3,8 @@ package core
 import (
 	"fmt"
 	"math"
-	"slices"
 
 	"ajdloss/internal/engine"
-	"ajdloss/internal/infotheory"
 	"ajdloss/internal/join"
 	"ajdloss/internal/jointree"
 	"ajdloss/internal/relation"
@@ -28,7 +26,7 @@ func (l Loss) LogOnePlusRho() float64 { return math.Log(1 + l.Rho) }
 
 // ComputeLoss returns the loss of the acyclic schema s with respect to r.
 // The join is counted, never materialized: messages pass up a join tree of
-// s over the groupings of r's snapshot (join.CountGroupings).
+// s over the groupings of r's snapshot (join.CountGroupingsCols).
 func ComputeLoss(r *relation.Relation, s *jointree.Schema) (Loss, error) {
 	if r.N() == 0 {
 		return Loss{}, fmt.Errorf("core: loss of an empty relation is undefined")
@@ -59,22 +57,34 @@ func ComputeLossTree(r *relation.Relation, t *jointree.JoinTree) (Loss, error) {
 		return Loss{}, err
 	}
 	snap := r.Snapshot()
+	bags, seps, err := rootedCols(snap, rooted)
+	if err != nil {
+		return Loss{}, err
+	}
 	p := snap.Plan()
-	for pos := range rooted.Order {
-		if err := p.AddGrouping(rooted.Bag(pos)...); err != nil {
-			return Loss{}, err
-		}
-		if err := p.AddGrouping(rooted.Sep[pos]...); err != nil {
-			return Loss{}, err
-		}
+	for pos := range bags {
+		p.AddGroupingCols(bags[pos])
+		p.AddGroupingCols(seps[pos])
 	}
 	p.Run(0)
-	return rootedLoss(snap, rooted)
+	return rootedLoss(snap, bags, rooted.Parent, seps)
 }
 
-// rootedLoss counts the join of the rooted tree's bags on snap.
-func rootedLoss(snap *engine.Snapshot, rooted *jointree.Rooted) (Loss, error) {
-	size, err := join.CountRooted(snap, rooted)
+// rootedCols resolves a rooted tree's bags to column sets of snap, in DFS
+// order, with their separators (see separators).
+func rootedCols(snap *engine.Snapshot, rooted *jointree.Rooted) (bags, seps [][]int, err error) {
+	bags = make([][]int, len(rooted.Order))
+	for pos := range bags {
+		if bags[pos], err = snap.Columns(rooted.Bag(pos)); err != nil {
+			return nil, nil, err
+		}
+	}
+	return bags, separators(bags, rooted.Parent), nil
+}
+
+// rootedLoss counts the join of DFS-ordered bag column sets on snap.
+func rootedLoss(snap *engine.Snapshot, bags [][]int, parent []int, seps [][]int) (Loss, error) {
+	size, err := join.CountGroupingsCols(snap, bags, parent, seps)
 	if err != nil {
 		return Loss{}, err
 	}
@@ -98,7 +108,7 @@ func lossFromJoinSize(n int, size int64) (Loss, error) {
 // (|Π_{XY}(R) ⋈ Π_{XZ}(R)| − |R|) / |R|. The join is counted as the two-bag
 // tree {XY, XZ} joined on their shared attributes (X for a well-formed MVD):
 // Σₓ d_XY(x)·d_XZ(x) over the groupings of r's snapshot. The size is memoized
-// on the snapshot (Snapshot.PairJoinSize), so an MVD shared by many
+// on the snapshot (Snapshot.PairJoinSizeCols), so an MVD shared by many
 // candidate trees is counted once per snapshot.
 func MVDLoss(r *relation.Relation, m jointree.MVD) (Loss, error) {
 	if r.N() == 0 {
@@ -108,16 +118,26 @@ func MVDLoss(r *relation.Relation, m jointree.MVD) (Loss, error) {
 }
 
 func mvdLoss(snap *engine.Snapshot, m jointree.MVD) (Loss, error) {
-	xy := infotheory.Union(m.X, m.Y)
-	xz := infotheory.Union(m.X, m.Z)
-	var shared []string
-	for _, a := range xy {
-		if slices.Contains(xz, a) {
-			shared = append(shared, a)
-		}
+	x, err := snap.Columns(m.X)
+	if err != nil {
+		return Loss{}, err
 	}
-	size, err := snap.PairJoinSize(xy, xz, func() (int64, error) {
-		return join.CountGroupings(snap, [][]string{xy, xz}, []int{-1, 0}, [][]string{nil, shared})
+	y, err := snap.Columns(m.Y)
+	if err != nil {
+		return Loss{}, err
+	}
+	z, err := snap.Columns(m.Z)
+	if err != nil {
+		return Loss{}, err
+	}
+	return mvdLossCols(snap, mergeCols(x, y), mergeCols(x, z))
+}
+
+// mvdLossCols is the MVD loss for the column sets XY and XZ, joined on
+// their intersection.
+func mvdLossCols(snap *engine.Snapshot, xy, xz []int) (Loss, error) {
+	size, err := snap.PairJoinSizeCols(xy, xz, func() (int64, error) {
+		return join.CountGroupingsCols(snap, [][]int{xy, xz}, []int{-1, 0}, [][]int{nil, intersectCols(xy, xz)})
 	})
 	if err != nil {
 		return Loss{}, err
@@ -193,6 +213,7 @@ type Decomposition struct {
 
 // ComputeDecomposition evaluates the support MVDs of the rooted tree against
 // r: each MVD's loss and CMI, the schema loss, and the Proposition 5.1 sums.
+// Every count and entropy reads one snapshot of r.
 func ComputeDecomposition(r *relation.Relation, rooted *jointree.Rooted) (*Decomposition, error) {
 	if r.N() == 0 {
 		return nil, fmt.Errorf("core: loss of an empty relation is undefined")
@@ -200,27 +221,31 @@ func ComputeDecomposition(r *relation.Relation, rooted *jointree.Rooted) (*Decom
 	if err := checkCoverage(r, rooted.Tree.Schema()); err != nil {
 		return nil, err
 	}
-	return computeDecomposition(r.Snapshot(), rooted)
-}
-
-// computeDecomposition is ComputeDecomposition on one snapshot: every count
-// and entropy reads the same generation.
-func computeDecomposition(snap *engine.Snapshot, rooted *jointree.Rooted) (*Decomposition, error) {
-	d := &Decomposition{}
-	schemaLoss, err := rootedLoss(snap, rooted)
+	c, err := compile(r.Snapshot(), rooted.Tree)
 	if err != nil {
 		return nil, err
 	}
-	d.Schema = schemaLoss
-	for _, m := range rooted.Tree.EdgeMVDs() {
-		l, err := mvdLoss(snap, m)
+	if err := c.root(rooted); err != nil {
+		return nil, err
+	}
+	return c.decomposition()
+}
+
+// decomposition evaluates a rooted compilation against its snapshot. An edge
+// MVD's sides XY and XZ are its CMI term's AC and BC sets.
+func (c *compiled) decomposition() (*Decomposition, error) {
+	schemaLoss, err := rootedLoss(c.snap, c.rbags, c.parent, c.rseps)
+	if err != nil {
+		return nil, err
+	}
+	d := &Decomposition{Schema: schemaLoss}
+	for k, m := range c.mvds {
+		t := c.edge[k]
+		l, err := mvdLossCols(c.snap, c.sets[t.ac], c.sets[t.bc])
 		if err != nil {
 			return nil, err
 		}
-		cmi, err := infotheory.ConditionalMutualInformation(snap, m.Y, m.Z, m.X)
-		if err != nil {
-			return nil, err
-		}
+		cmi := c.cmi(t)
 		term := MVDTerm{MVD: m, Loss: l, CMI: cmi, LogOnePlus: l.LogOnePlusRho()}
 		d.Terms = append(d.Terms, term)
 		d.SumLogLoss += term.LogOnePlus

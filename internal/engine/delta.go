@@ -100,7 +100,7 @@ func (d *DeltaSummary) DictGrew(attr string) (bool, error) {
 // record for it); callers must then treat the partition as changed in an
 // unknown way.
 func (d *DeltaSummary) GroupsGained(attrs ...string) (gained int, known bool, err error) {
-	cols, err := d.s.sortedColumns(attrs)
+	cols, err := d.s.Columns(attrs)
 	if err != nil {
 		return 0, false, err
 	}
@@ -120,7 +120,7 @@ func (d *DeltaSummary) GroupsGained(attrs ...string) (gained int, known bool, er
 // this is true exactly when rows were added; it exists so callers asking the
 // natural question get the honest answer without re-deriving the invariant.
 func (d *DeltaSummary) Changed(attrs ...string) (bool, error) {
-	if _, err := d.s.sortedColumns(attrs); err != nil {
+	if _, err := d.s.Columns(attrs); err != nil {
 		return false, err
 	}
 	return d.RowsAdded() > 0, nil

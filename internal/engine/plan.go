@@ -35,30 +35,41 @@ func (s *Snapshot) Plan() *Plan {
 // AddGrouping requests the grouping of the attribute set (and, implicitly,
 // of every sorted prefix of it). Duplicate adds are free.
 func (p *Plan) AddGrouping(attrs ...string) error {
-	_, err := p.add(attrs, false)
-	return err
+	return p.add(attrs, false)
 }
 
 // AddEntropy requests the entropy (and grouping) of the attribute set.
 func (p *Plan) AddEntropy(attrs ...string) error {
-	_, err := p.add(attrs, true)
-	return err
+	return p.add(attrs, true)
 }
 
-func (p *Plan) add(attrs []string, entropy bool) (*planNode, error) {
-	cols, err := p.snap.sortedColumns(attrs)
+func (p *Plan) add(attrs []string, entropy bool) error {
+	cols, err := p.snap.Columns(attrs)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	// Close under sorted prefixes so every node's refinement parent is a plan
-	// node of the previous level.
+	p.addClosed(cols, entropy)
+	return nil
+}
+
+// AddGroupingCols is AddGrouping for a sorted column set (see
+// Snapshot.Columns).
+func (p *Plan) AddGroupingCols(cols []int) { p.addClosed(cols, false) }
+
+// AddEntropyCols is AddEntropy for a sorted column set (see
+// Snapshot.Columns).
+func (p *Plan) AddEntropyCols(cols []int) { p.addClosed(cols, true) }
+
+// addClosed adds the column set closed under sorted prefixes, so every
+// node's refinement parent is a plan node of the previous level.
+func (p *Plan) addClosed(cols []int, entropy bool) {
 	for l := 0; l < len(cols); l++ {
 		p.addCols(cols[:l], false)
 	}
-	return p.addCols(cols, entropy), nil
+	p.addCols(cols, entropy)
 }
 
-func (p *Plan) addCols(cols []int, entropy bool) *planNode {
+func (p *Plan) addCols(cols []int, entropy bool) {
 	key := colsKey(cols)
 	n, ok := p.nodes[key]
 	if !ok {
@@ -66,7 +77,6 @@ func (p *Plan) addCols(cols []int, entropy bool) *planNode {
 		p.nodes[key] = n
 	}
 	n.entropy = n.entropy || entropy
-	return n
 }
 
 // Len returns the number of distinct lattice nodes the plan will touch

@@ -210,10 +210,12 @@ func (s *Snapshot) Pos(a string) (int, bool) {
 	return p, ok
 }
 
-// sortedColumns resolves attrs to column positions, sorts them ascending and
-// drops duplicates (groupings are per attribute *set*; the canonical order
-// maximizes prefix sharing across lattice queries).
-func (s *Snapshot) sortedColumns(attrs []string) ([]int, error) {
+// Columns resolves attrs to column positions, sorts them ascending and drops
+// duplicates (groupings are per attribute *set*; the canonical order
+// maximizes prefix sharing across lattice queries). The result is the
+// sorted column set the *Cols methods take; every attribute-name method is
+// Columns followed by its *Cols counterpart.
+func (s *Snapshot) Columns(attrs []string) ([]int, error) {
 	cols := make([]int, len(attrs))
 	for i, a := range attrs {
 		p, ok := s.pos[a]
@@ -251,12 +253,16 @@ func colsKey(cols []int) string {
 // Grouping returns the memoized columnar grouping of the snapshot onto attrs.
 // The returned value is shared and frozen: callers must not modify it.
 func (s *Snapshot) Grouping(attrs ...string) (*Grouping, error) {
-	cols, err := s.sortedColumns(attrs)
+	cols, err := s.Columns(attrs)
 	if err != nil {
 		return nil, err
 	}
 	return s.grouping(cols), nil
 }
+
+// GroupingCols is Grouping for a sorted column set (see Columns): ascending,
+// without duplicates, every position in range.
+func (s *Snapshot) GroupingCols(cols []int) *Grouping { return s.grouping(cols) }
 
 // GroupCounts returns the multiplicities of the multiset projection onto
 // attrs, indexed by dense group id — the infotheory.Source contract.
@@ -272,12 +278,15 @@ func (s *Snapshot) GroupCounts(attrs ...string) ([]int, error) {
 // distribution, memoized per attribute set — the infotheory.EntropySource
 // contract.
 func (s *Snapshot) GroupEntropy(attrs ...string) (float64, error) {
-	cols, err := s.sortedColumns(attrs)
+	cols, err := s.Columns(attrs)
 	if err != nil {
 		return 0, err
 	}
 	return s.groupEntropy(cols), nil
 }
+
+// GroupEntropyCols is GroupEntropy for a sorted column set (see Columns).
+func (s *Snapshot) GroupEntropyCols(cols []int) float64 { return s.groupEntropy(cols) }
 
 // grouping returns the memoized grouping for the sorted column set, computing
 // it by refining the grouping of the prefix cols[:len-1] with the last
@@ -326,6 +335,12 @@ func (s *Snapshot) trivialGrouping() *Grouping {
 
 // groupEntropy returns the entropy (nats) of the distribution assigning
 // probability Counts[g]/total to each group, memoized per column set.
+//
+// H(∅) is exactly 0, as infotheory.Entropy defines it: the empty set's one
+// group would give log t − t·log t/t, which rounds to ±2.2e-16 for some t.
+// Callers that read empty separators of disconnected schemas straight from
+// the snapshot rely on the exact zero. The empty set still goes through the
+// memo, so a plan that requests its entropy also warms its grouping.
 func (s *Snapshot) groupEntropy(cols []int) float64 {
 	key := colsKey(cols)
 	s.mu.Lock()
@@ -335,30 +350,26 @@ func (s *Snapshot) groupEntropy(cols []int) float64 {
 		return h
 	}
 	g := s.groupingKeyed(key, cols)
-	h = entropyOfCounts(g.Counts, s.total)
+	h = 0
+	if len(cols) > 0 {
+		h = entropyOfCounts(g.Counts, s.total)
+	}
 	s.mu.Lock()
 	s.entropy[key] = h
 	s.mu.Unlock()
 	return h
 }
 
-// PairJoinSize returns |R[a] ⋈ R[b]| for the relation R the snapshot holds,
-// memoized per snapshot beside the entropy memo: the size is a pure function
-// of the immutable snapshot, and schema fitting asks for the same MVD join
+// PairJoinSizeCols returns |R[a] ⋈ R[b]| for the relation R the snapshot
+// holds and two sorted column sets a and b (see Columns), memoized per
+// snapshot beside the entropy memo: the size is a pure function of the
+// immutable snapshot, and schema fitting asks for the same MVD join
 // (X∪Y, X∪Z) across many candidate trees. On a miss, count computes the size;
 // a count error is returned and not memoized. The memo is keyed by the two
-// attribute sets, unordered, so callers must pass a count that is symmetric
-// in them — any join count is.
-func (s *Snapshot) PairJoinSize(a, b []string, count func() (int64, error)) (int64, error) {
-	ca, err := s.sortedColumns(a)
-	if err != nil {
-		return 0, err
-	}
-	cb, err := s.sortedColumns(b)
-	if err != nil {
-		return 0, err
-	}
-	key := joinKey{colsKey(ca), colsKey(cb)}
+// column sets, unordered, so callers must pass a count that is symmetric in
+// them — any join count is.
+func (s *Snapshot) PairJoinSizeCols(a, b []int, count func() (int64, error)) (int64, error) {
+	key := joinKey{colsKey(a), colsKey(b)}
 	if key.b < key.a {
 		key.a, key.b = key.b, key.a
 	}
@@ -368,7 +379,8 @@ func (s *Snapshot) PairJoinSize(a, b []string, count func() (int64, error)) (int
 	if ok {
 		return size, nil
 	}
-	if size, err = count(); err != nil {
+	size, err := count()
+	if err != nil {
 		return 0, err
 	}
 	s.mu.Lock()

@@ -199,3 +199,31 @@ func TestUnknownAttribute(t *testing.T) {
 		t.Fatal("unknown attribute accepted")
 	}
 }
+
+// TestEmptySetEntropyExactlyZero: H(∅) is exactly 0 for every total below
+// 5000, on the memoized path, when a plan warms it, and on a weighted
+// snapshot. Computed from the one-group counts, log t − t·log t/t rounds to
+// ±2.2e-16 for hundreds of these totals (t = 6 is one).
+func TestEmptySetEntropyExactlyZero(t *testing.T) {
+	const maxN = 5000
+	rows := make([]Tuple, maxN)
+	for i := range rows {
+		rows[i] = Tuple{Value(i)}
+	}
+	one := []Tuple{{0}}
+	for n := 1; n <= maxN; n++ {
+		if h, err := NewSnapshot([]string{"A"}, rows[:n]).GroupEntropy(); err != nil || h != 0 {
+			t.Fatalf("n=%d: memoized H(∅) = %g, %v; want exactly 0", n, h, err)
+		}
+		s := NewSnapshot([]string{"A"}, rows[:n])
+		p := s.Plan()
+		p.AddEntropyCols(nil)
+		p.Run(1)
+		if h := s.GroupEntropyCols(nil); h != 0 {
+			t.Fatalf("n=%d: plan-warmed H(∅) = %g; want exactly 0", n, h)
+		}
+		if h, _ := NewWeightedSnapshot([]string{"A"}, one, []int64{int64(n)}, n).GroupEntropy(); h != 0 {
+			t.Fatalf("n=%d: weighted H(∅) = %g; want exactly 0", n, h)
+		}
+	}
+}

@@ -6,11 +6,11 @@
 // be exponentially larger than its inputs; Figure 1 needs joins of size 10⁶
 // whose inputs have 10⁵ rows, and the count is all the loss measure needs).
 //
-// Two counters share the message-passing scheme. CountGroupings counts the
-// join of one relation's own projections straight off its snapshot
-// groupings; every loss in core goes through it. CountTree counts the join
-// of independently sourced bag relations (normalization parts, sampled
-// bags), aligning each edge's separator values across the two relations.
+// Two counters share the message-passing scheme. CountGroupingsCols counts
+// the join of one relation's own projections straight off its snapshot
+// groupings; every loss in core goes through it. CountTree counts the join of independently sourced bag
+// relations (normalization parts, sampled bags), aligning each edge's
+// separator values across the two relations.
 package join
 
 import (
@@ -225,10 +225,11 @@ func CountTree(t *jointree.JoinTree, rels []*relation.Relation) (int64, error) {
 	return aggregate(0)
 }
 
-// CountGroupings returns |⋈ᵢ R[bags[i]]|, where R is the relation snap
-// holds, by bottom-up message passing over snap's groupings. The bags come
-// in rooted DFS order: parent[0] = -1, parent[i] < i for i ≥ 1, and seps[i]
-// is the attribute set bag i shares with its parent.
+// CountGroupingsCols returns |⋈ᵢ R[bags[i]]|, where R is the relation snap
+// holds and every bag and separator is a sorted column set of snap (see
+// engine.Snapshot.Columns). The bags come in rooted DFS order:
+// parent[0] = -1, parent[i] < i for i ≥ 1, and seps[i] is the column set
+// bag i shares with its parent.
 //
 // Each group of a bag's grouping is one distinct tuple of R[bag], and the
 // group's first row (Grouping.First) represents it. Read at that row, an
@@ -239,7 +240,7 @@ func CountTree(t *jointree.JoinTree, rels []*relation.Relation) (int64, error) {
 // relation are globally consistent (Beeri et al. 1983), so no reduction pass
 // is needed. Groupings missing from the snapshot's memo are computed on
 // demand. Independently sourced bag relations go through CountTree instead.
-func CountGroupings(snap *engine.Snapshot, bags [][]string, parent []int, seps [][]string) (int64, error) {
+func CountGroupingsCols(snap *engine.Snapshot, bags [][]int, parent []int, seps [][]int) (int64, error) {
 	m := len(bags)
 	if m == 0 || len(parent) != m || len(seps) != m || parent[0] != -1 {
 		return 0, fmt.Errorf("join: malformed rooted tree (%d bags, %d parents, %d separators)", m, len(parent), len(seps))
@@ -249,19 +250,14 @@ func CountGroupings(snap *engine.Snapshot, bags [][]string, parent []int, seps [
 	msgs := make([][]int64, m) // msgs[pos]: edge pos→parent's message, by separator group
 	kids := make([][]int, m)
 	for pos := range bags {
-		var err error
-		if bagG[pos], err = snap.Grouping(bags[pos]...); err != nil {
-			return 0, fmt.Errorf("join: bag %d: %w", pos, err)
-		}
+		bagG[pos] = snap.GroupingCols(bags[pos])
 		if pos == 0 {
 			continue
 		}
 		if parent[pos] < 0 || parent[pos] >= pos {
 			return 0, fmt.Errorf("join: bag %d has parent %d, want one in [0,%d)", pos, parent[pos], pos)
 		}
-		if sepG[pos], err = snap.Grouping(seps[pos]...); err != nil {
-			return 0, fmt.Errorf("join: separator of bag %d: %w", pos, err)
-		}
+		sepG[pos] = snap.GroupingCols(seps[pos])
 		msgs[pos] = make([]int64, sepG[pos].Groups())
 		kids[parent[pos]] = append(kids[parent[pos]], pos)
 	}
@@ -288,15 +284,6 @@ func CountGroupings(snap *engine.Snapshot, bags [][]string, parent []int, seps [
 		}
 	}
 	return total, nil
-}
-
-// CountRooted is CountGroupings over a rooted join tree's bags.
-func CountRooted(snap *engine.Snapshot, rooted *jointree.Rooted) (int64, error) {
-	bags := make([][]string, len(rooted.Order))
-	for pos := range bags {
-		bags[pos] = rooted.Bag(pos)
-	}
-	return CountGroupings(snap, bags, rooted.Parent, rooted.Sep)
 }
 
 // CountAcyclicJoin projects r onto the schema's bags and counts the acyclic

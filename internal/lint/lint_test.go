@@ -7,8 +7,8 @@ import (
 	"testing"
 )
 
-// wantRe extracts the backquoted regexes of a `// want `re` `re`` comment,
-// the same convention x/tools analysistest uses.
+// wantRe extracts the backquoted regexes that follow "// want" in a fixture
+// comment, the same convention x/tools analysistest uses.
 var wantRe = regexp.MustCompile("`([^`]+)`")
 
 type wantDiag struct {
@@ -34,7 +34,7 @@ func loadFixture(t *testing.T, paths ...string) []*Package {
 }
 
 // checkFixture runs the analyzers over the fixture packages and compares the
-// diagnostics against the fixtures' `// want `regex`` comments: every
+// diagnostics against the fixtures' want comments (see wantRe): every
 // diagnostic must be wanted on its exact line, every want must be hit.
 func checkFixture(t *testing.T, analyzers []*Analyzer, paths ...string) {
 	t.Helper()

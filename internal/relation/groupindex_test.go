@@ -241,3 +241,20 @@ func TestGroupEngineConcurrentReads(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestEmptySetEntropyExactlyZero: a relation's and a multiset's H(∅) is
+// exactly 0 for every size below 5000, as infotheory.Entropy defines it.
+func TestEmptySetEntropyExactlyZero(t *testing.T) {
+	r := New("A")
+	m := NewMultiset("A")
+	for n := 1; n <= 5000; n++ {
+		r.Insert(Tuple{Value(n)})
+		m.Add(Tuple{Value(n % 7)}, 1)
+		if h, err := r.GroupEntropy(); err != nil || h != 0 {
+			t.Fatalf("relation n=%d: H(∅) = %g, %v; want exactly 0", n, h, err)
+		}
+		if h, err := m.GroupEntropy(); err != nil || h != 0 {
+			t.Fatalf("multiset n=%d: H(∅) = %g, %v; want exactly 0", n, h, err)
+		}
+	}
+}

@@ -222,6 +222,27 @@ func TestAnalyzeAcyclicityOnMiss(t *testing.T) {
 	}
 }
 
+// TestAnalyzeCoverageErrorNamesSchemaAsSent: a schema that misses a dataset
+// attribute is reported as the caller wrote it, redundant and duplicate bags
+// included, although core analyzes the reduced schema's join tree.
+func TestAnalyzeCoverageErrorNamesSchemaAsSent(t *testing.T) {
+	s := newTestService(t, 16)
+	h := NewHandler(s)
+	for _, tc := range []struct{ query, want string }{
+		{"A,B|A", `core: schema {A,B},{A} does not cover attribute "C" of the relation`},
+		{"A,B|B,A", `core: schema {A,B},{A,B} does not cover attribute "C" of the relation`},
+	} {
+		if _, err := s.Analyze("block", strings.ReplaceAll(tc.query, "|", ";")); err == nil || err.Error() != tc.want {
+			t.Fatalf("%s: error %v, want %s", tc.query, err, tc.want)
+		}
+		code, body := serve(h, "GET", "/analyze?dataset=block&schema="+tc.query, "")
+		want, _ := json.Marshal(tc.want)
+		if code != http.StatusBadRequest || !strings.Contains(body, string(want)) {
+			t.Fatalf("%s: %d %s, want 400 with %s", tc.query, code, body, want)
+		}
+	}
+}
+
 // TestAnalyzeBraceNamesKeyedApart: schema.String() renders bags between
 // braces, so attribute names containing braces can make a cyclic schema
 // render exactly like a cached acyclic one. The analyze key quotes every

@@ -370,14 +370,18 @@ func (s *Service) AnalyzeIn(ns, dataset, schemaStr string) (*ReportView, error) 
 	key := requestKey(d, keyGen) + "analyze|" + attrsKey(schema.Bags()...)
 	v, ok := s.lookup(d, key)
 	if !ok {
-		// The GYO check runs only on a miss. A hit needs none: only
-		// successful analyses are cached, and the key determines the bags
-		// and so their acyclicity, so a cached key is known to be acyclic.
-		if !jointree.IsAcyclic(schema) {
+		// GYO runs once per miss, here: the join tree of the reduced schema
+		// both checks acyclicity and is the tree core analyzes (reduction
+		// preserves acyclicity, so a cyclic schema fails here with the same
+		// 400 and accounting as before). A hit needs no GYO: only successful
+		// analyses are cached, and the key determines the bags and so their
+		// acyclicity, so a cached key is known to be acyclic.
+		tree, err := jointree.BuildJoinTree(schema.Reduced())
+		if err != nil {
 			return nil, s.fail(d.ns, fmt.Errorf("service: schema %s is cyclic; only acyclic schemas have join trees", schema))
 		}
 		if v, err = s.compute(d, key, keyGen, func() (any, error) {
-			rep, err := core.Analyze(rel, schema)
+			rep, err := core.AnalyzeTree(rel, schema, tree)
 			if err != nil {
 				return nil, err
 			}

@@ -50,7 +50,7 @@ func sharedAttrs(xy, xz []string) []string {
 
 // TestMVDJoinSizeMemoParity: on random instances, every edge MVD's size as
 // MVDLoss reports it — counted, then read back from the memo, also with Y
-// and Z swapped — equals a direct join.CountGroupings call on the same
+// and Z swapped — equals a direct join.CountGroupingsCols call on the same
 // snapshot and join.CountTree over the projections, as integers.
 func TestMVDJoinSizeMemoParity(t *testing.T) {
 	for seed := uint64(1); seed <= 60; seed++ {
@@ -58,7 +58,14 @@ func TestMVDJoinSizeMemoParity(t *testing.T) {
 		snap := r.Snapshot()
 		for _, m := range tree.EdgeMVDs() {
 			xy, xz := infotheory.Union(m.X, m.Y), infotheory.Union(m.X, m.Z)
-			direct, err := join.CountGroupings(snap, [][]string{xy, xz}, []int{-1, 0}, [][]string{nil, sharedAttrs(xy, xz)})
+			var sets [3][]int
+			for i, attrs := range [][]string{xy, xz, sharedAttrs(xy, xz)} {
+				var err error
+				if sets[i], err = snap.Columns(attrs); err != nil {
+					t.Fatal(err)
+				}
+			}
+			direct, err := join.CountGroupingsCols(snap, [][]int{sets[0], sets[1]}, []int{-1, 0}, [][]int{nil, sets[2]})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -70,7 +77,7 @@ func TestMVDJoinSizeMemoParity(t *testing.T) {
 					t.Fatal(err)
 				}
 				if l.JoinSize != direct || l.JoinSize != proj {
-					t.Fatalf("seed %d %s (call %d): MVDLoss join %d, CountGroupings %d, CountTree %d", seed, mv, k, l.JoinSize, direct, proj)
+					t.Fatalf("seed %d %s (call %d): MVDLoss join %d, CountGroupingsCols %d, CountTree %d", seed, mv, k, l.JoinSize, direct, proj)
 				}
 			}
 		}
