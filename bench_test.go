@@ -449,6 +449,7 @@ func BenchmarkJMeasure(b *testing.B) {
 func BenchmarkAnalyze(b *testing.B) {
 	r := benchRelation(b, 5000)
 	s := jointree.MustSchema([]string{"A", "B"}, []string{"B", "C"})
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := core.Analyze(r, s); err != nil {

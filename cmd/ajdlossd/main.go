@@ -186,7 +186,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer, ready fun
 		}
 		rt := replica.NewRouter(nodes, replica.RouterOptions{Vnodes: *routeVnodes})
 		fmt.Fprintf(stderr, "routing over %d nodes: %s\n", len(nodes), strings.Join(nodes, ", "))
-		return serveHTTP(ctx, *addr, rt.Handler(), *drain, stdout, stderr, ready)
+		return serveHTTP(ctx, *addr, rt.Handler(), *drain, readHeaderTimeout, idleTimeout, stdout, stderr, ready)
 	}
 	if *follow != "" {
 		if *dataDir != "" || len(loads) > 0 || len(watches) > 0 {
@@ -350,7 +350,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer, ready fun
 		fmt.Fprintf(stderr, "following primary at %s (sync every %v)\n", *follow, *followEvery)
 	}
 
-	if err := serveHTTP(ctx, *addr, service.NewHandler(svc), *drain, stdout, stderr, ready); err != nil {
+	if err := serveHTTP(ctx, *addr, service.NewHandler(svc), *drain, readHeaderTimeout, idleTimeout, stdout, stderr, ready); err != nil {
 		return err
 	}
 	// HTTP is drained. Quiesce the watchers (idempotent with the deferred
@@ -371,14 +371,25 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer, ready fun
 	return nil
 }
 
+// Connection timeouts. A client that never finishes its request headers, or
+// leaves a keep-alive connection idle, would otherwise hold a goroutine and a
+// file descriptor forever. Request bodies and responses get no deadline: a
+// cold discover can legitimately run long.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
 // serveHTTP binds addr, serves h until ctx is cancelled, then drains
-// gracefully. The "listening" line goes to stdout for scripts to scrape.
-func serveHTTP(ctx context.Context, addr string, h http.Handler, drain time.Duration, stdout, stderr io.Writer, ready func(net.Addr)) error {
+// gracefully. Connections get readHeader to send each request's headers and
+// idle between keep-alive requests. The "listening" line goes to stdout for
+// scripts to scrape.
+func serveHTTP(ctx context.Context, addr string, h http.Handler, drain, readHeader, idle time.Duration, stdout, stderr io.Writer, ready func(net.Addr)) error {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return err
 	}
-	srv := &http.Server{Handler: h}
+	srv := &http.Server{Handler: h, ReadHeaderTimeout: readHeader, IdleTimeout: idle}
 	fmt.Fprintf(stdout, "ajdlossd listening on http://%s\n", ln.Addr())
 	if ready != nil {
 		ready(ln.Addr())

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bufio"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -448,4 +449,80 @@ func TestDaemonNamespaceFlags(t *testing.T) {
 	if err := shutdown(); err != nil {
 		t.Fatalf("graceful shutdown: %v", err)
 	}
+}
+
+// TestServeHTTPTimeouts checks the connection timeouts: a slow-loris client
+// that sends half a request line is disconnected once the header timeout
+// passes, an idle keep-alive connection is closed once the idle timeout
+// passes, and a normal request on another connection meanwhile succeeds.
+func TestServeHTTPTimeouts(t *testing.T) {
+	const timeout = 300 * time.Millisecond
+	ctx, cancel := context.WithCancel(context.Background())
+	addrc := make(chan net.Addr, 1)
+	errc := make(chan error, 1)
+	h := http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) { io.WriteString(w, "ok") })
+	go func() {
+		errc <- serveHTTP(ctx, "127.0.0.1:0", h, time.Second, timeout, timeout, io.Discard, io.Discard, func(a net.Addr) { addrc <- a })
+	}()
+	defer func() {
+		cancel()
+		if err := <-errc; err != nil {
+			t.Error(err)
+		}
+	}()
+	addr := (<-addrc).String()
+
+	// closedWithin asserts that the server closes conn (net/http may first
+	// answer a torn request line with a 400) no sooner than the timeout and
+	// well within a generous bound past it.
+	closedWithin := func(what string, conn net.Conn, start time.Time) {
+		t.Helper()
+		if err := conn.SetReadDeadline(time.Now().Add(10 * time.Second)); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := io.ReadAll(conn); err != nil {
+			if ne, ok := err.(net.Error); ok && ne.Timeout() {
+				t.Fatalf("%s: connection still open after %v", what, time.Since(start))
+			}
+		}
+		if took := time.Since(start); took < timeout {
+			t.Fatalf("%s: closed after %v, before the %v timeout", what, took, timeout)
+		}
+	}
+
+	slow, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer slow.Close()
+	start := time.Now()
+	if _, err := io.WriteString(slow, "GET /healthz HT"); err != nil {
+		t.Fatal(err)
+	}
+
+	resp, err := http.Get("http://" + addr + "/")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK || string(body) != "ok" {
+		t.Fatalf("normal request beside a slow client: %d %q %v", resp.StatusCode, body, err)
+	}
+	closedWithin("half a request line", slow, start)
+
+	idle, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer idle.Close()
+	if _, err := io.WriteString(idle, "GET / HTTP/1.1\r\nHost: x\r\n\r\n"); err != nil {
+		t.Fatal(err)
+	}
+	resp, err = http.ReadResponse(bufio.NewReader(idle), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	closedWithin("idle keep-alive connection", idle, time.Now())
 }

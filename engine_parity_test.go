@@ -163,8 +163,8 @@ func TestEngineJMeasureAndLossParity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if math.Abs(kl-jNew) > 1e-6 {
-			t.Fatalf("seed %d: KL %.12f vs J %.12f", seed, kl, jNew)
+		if math.Abs(kl-jNew) > 1e-12*math.Max(1, jNew) {
+			t.Fatalf("seed %d: KL %.17g vs J %.17g", seed, kl, jNew)
 		}
 	}
 }

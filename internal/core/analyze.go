@@ -20,7 +20,7 @@ type Report struct {
 
 	// Information-theoretic loss.
 	J  float64 // J(T) = D_KL(P‖P^T), nats
-	KL float64 // D_KL(P‖P^T) computed independently via P^T (Theorem 3.2 check)
+	KL float64 // D_KL(P‖P^T) from bag/separator group counts, not entropies (Theorem 3.2 check)
 
 	// Combinatorial loss.
 	Loss Loss
@@ -100,13 +100,7 @@ func analyzeTree(r *relation.Relation, t *jointree.JoinTree) (*Report, error) {
 
 	rep := &Report{Schema: t.Schema(), Tree: t, N: snap.N()}
 	rep.J = c.jmeasure()
-	f, err := newFactorization(r, snap, rooted, c.rbags, c.rseps)
-	if err != nil {
-		return nil, err
-	}
-	if rep.KL, err = f.KLFromEmpirical(); err != nil {
-		return nil, err
-	}
+	rep.KL = klCounts(snap.N(), groupings(snap, c.rbags), groupings(snap, c.rseps[1:]))
 	dec, err := c.decomposition()
 	if err != nil {
 		return nil, err

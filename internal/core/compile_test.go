@@ -21,7 +21,9 @@ import (
 // composition it replaced, kept below as the reference: every entropy read
 // by attribute names through infotheory, every set built by
 // infotheory.Union, every join counted by name. The two must agree bit for
-// bit on every float and exactly on every loss.
+// bit on every float but KL and exactly on every loss. KL sums over group
+// counts, and the reference sums ln P^T row by row, so the two agree to
+// 1e-12·max(1, KL).
 
 // refWarmReportPlan enqueues every entropy the reference report reads into
 // one engine plan and runs it.
@@ -208,24 +210,37 @@ func refDecomposition(snap *engine.Snapshot, rooted *jointree.Rooted) (*Decompos
 	return d, nil
 }
 
-// refKL is the KL check over groupings looked up by attribute names.
-func refKL(r *relation.Relation, snap *engine.Snapshot, rooted *jointree.Rooted) (float64, error) {
-	f := &Factorization{r: r, rooted: rooted, n: float64(snap.N())}
+// refKL is the KL check in its per-row form, over groupings looked up by
+// attribute names: ln P^T summed row by row rather than over group counts.
+func refKL(snap *engine.Snapshot, rooted *jointree.Rooted) (float64, error) {
+	var terms []*relation.Grouping
+	var signs []float64
 	for i := range rooted.Order {
 		g, err := snap.Grouping(rooted.Bag(i)...)
 		if err != nil {
 			return 0, err
 		}
-		f.bagGroups = append(f.bagGroups, g)
-	}
-	for i := 1; i < len(rooted.Order); i++ {
-		g, err := snap.Grouping(rooted.Sep[i]...)
-		if err != nil {
-			return 0, err
+		terms, signs = append(terms, g), append(signs, 1)
+		if i > 0 {
+			if g, err = snap.Grouping(rooted.Sep[i]...); err != nil {
+				return 0, err
+			}
+			terms, signs = append(terms, g), append(signs, -1)
 		}
-		f.sepGroups = append(f.sepGroups, g)
 	}
-	return f.KLFromEmpirical()
+	n := float64(snap.N())
+	var d float64
+	for row := 0; row < snap.N(); row++ {
+		var lp float64
+		for k, g := range terms {
+			lp += signs[k] * math.Log(float64(g.Counts[g.IDs[row]])/n)
+		}
+		d += (-math.Log(n) - lp) / n
+	}
+	if d < 0 && d > -1e-9 {
+		d = 0
+	}
+	return d, nil
 }
 
 func refAnalyze(r *relation.Relation, s *jointree.Schema) (*Report, error) {
@@ -249,7 +264,7 @@ func refAnalyze(r *relation.Relation, s *jointree.Schema) (*Report, error) {
 	if rep.J, err = refJMeasure(snap, t); err != nil {
 		return nil, err
 	}
-	if rep.KL, err = refKL(r, snap, rooted); err != nil {
+	if rep.KL, err = refKL(snap, rooted); err != nil {
 		return nil, err
 	}
 	dec, err := refDecomposition(snap, rooted)
@@ -286,10 +301,13 @@ func sameBits(a, b []float64) bool {
 func sameReport(t *testing.T, label string, got, want *Report) {
 	t.Helper()
 	floats := func(r *Report) []float64 {
-		return []float64{r.J, r.KL, r.RhoLower, r.MaxCMI, r.SumCMI, r.SumLogLoss}
+		return []float64{r.J, r.RhoLower, r.MaxCMI, r.SumCMI, r.SumLogLoss}
 	}
 	if !sameBits(floats(got), floats(want)) {
-		t.Fatalf("%s: J, KL, RhoLower, MaxCMI, SumCMI, SumLogLoss = %v, want %v", label, floats(got), floats(want))
+		t.Fatalf("%s: J, RhoLower, MaxCMI, SumCMI, SumLogLoss = %v, want %v", label, floats(got), floats(want))
+	}
+	if math.Abs(got.KL-want.KL) > 1e-12*math.Max(1, want.KL) {
+		t.Fatalf("%s: KL %.17g, per-row reference %.17g", label, got.KL, want.KL)
 	}
 	if !reflect.DeepEqual(got.Loss, want.Loss) || !reflect.DeepEqual(got.PerMVD, want.PerMVD) {
 		t.Fatalf("%s: Loss/PerMVD = %+v %+v, want %+v %+v", label, got.Loss, got.PerMVD, want.Loss, want.PerMVD)

@@ -17,18 +17,19 @@ import (
 //
 //	P^T(x) = Π_i P[Ωᵢ](x[Ωᵢ]) / Π_i P[Δᵢ](x[Δᵢ]).
 //
-// The marginal counts of every bag and separator come from the columnar
-// group-count engine: evaluating P^T on a tuple *of r* (the KL computation,
-// Theorem 3.2) is pure integer indexing with no hashing. Evaluating P^T on
-// arbitrary tuples (spurious join tuples, Dist) needs value-addressable
-// lookups and lazily builds legacy string-keyed maps on first use.
+// It is built only from a *relation.Relation, whose snapshot holds each
+// distinct row once, so P is uniform over the n rows of r (unit row
+// weights). The KL computation (Theorem 3.2) relies on that: it reads only
+// the group counts of every bag and separator, from the columnar group-count
+// engine, and never evaluates P^T row by row. Evaluating P^T on arbitrary
+// tuples (spurious join tuples, Dist) needs value-addressable lookups and
+// lazily builds legacy string-keyed maps on first use.
 type Factorization struct {
 	r      *relation.Relation
 	rooted *jointree.Rooted
 	n      float64
-	// bagGroups/sepGroups hold per-row group ids and per-group counts for
-	// each bag and separator, shared with the memoized engine of one
-	// snapshot of r.
+	// bagGroups/sepGroups hold the groupings of each bag and non-root
+	// separator, shared with the memoized engine of one snapshot of r.
 	bagGroups []*relation.Grouping
 	sepGroups []*relation.Grouping
 
@@ -50,24 +51,20 @@ func NewFactorization(r *relation.Relation, rooted *jointree.Rooted) (*Factoriza
 	if err != nil {
 		return nil, err
 	}
-	return newFactorization(r, snap, rooted, bags, seps)
-}
-
-// newFactorization is NewFactorization reading its marginals off snap, a
-// snapshot of r, for the rooted tree's DFS-ordered bag and separator column
-// sets (see rootedCols).
-func newFactorization(r *relation.Relation, snap *engine.Snapshot, rooted *jointree.Rooted, bags, seps [][]int) (*Factorization, error) {
 	if snap.N() == 0 {
 		return nil, fmt.Errorf("core: factorization of an empty relation")
 	}
-	f := &Factorization{r: r, rooted: rooted, n: float64(snap.N())}
-	for _, cols := range bags {
-		f.bagGroups = append(f.bagGroups, snap.GroupingCols(cols))
+	return &Factorization{r: r, rooted: rooted, n: float64(snap.N()),
+		bagGroups: groupings(snap, bags), sepGroups: groupings(snap, seps[1:])}, nil
+}
+
+// groupings returns snap's grouping of each column set.
+func groupings(snap *engine.Snapshot, sets [][]int) []*relation.Grouping {
+	gs := make([]*relation.Grouping, len(sets))
+	for i, cols := range sets {
+		gs[i] = snap.GroupingCols(cols)
 	}
-	for _, cols := range seps[1:] {
-		f.sepGroups = append(f.sepGroups, snap.GroupingCols(cols))
-	}
-	return f, nil
+	return gs
 }
 
 // lookups builds the legacy string-keyed marginal maps used to evaluate P^T
@@ -119,7 +116,7 @@ func (f *Factorization) Prob(t relation.Tuple) float64 {
 
 // LogProb returns ln P^T(t) and whether the probability is positive. t is an
 // arbitrary tuple (not necessarily in r), so this is the string-keyed
-// diagnostics path; KLFromEmpirical indexes group ids instead.
+// diagnostics path; KLFromEmpirical reads group counts instead.
 func (f *Factorization) LogProb(t relation.Tuple) (float64, bool) {
 	bagLookup, sepLookup, err := f.lookups()
 	if err != nil {
@@ -149,81 +146,69 @@ func (f *Factorization) LogProb(t relation.Tuple) (float64, bool) {
 
 // KLFromEmpirical returns D_KL(P ‖ P^T) where P is the empirical
 // distribution of r. By Theorem 3.2 this equals J(T); the equality is
-// verified in tests and exposed as an internal consistency check.
-//
-// ln P^T of a row of r is read by group-id indexing: every bag and separator
-// projection of a row of r occurs in r, so the probability is positive, and
-// log(count/n) is computed once per group (once per count value for the
-// small counts most groups have). The rows are taken in blocks of klBlock:
-// each block's ln P^T values accumulate in a stack array, adding the bag
-// terms and subtracting the separator terms in tree order, two terms per
-// pass, and the block is then folded into the sum in row order. Every row
-// adds the same terms in the same order as a per-row evaluation, so the
-// result is that evaluation's, bit for bit.
+// verified in tests and exposed as an internal consistency check. It sums
+// over the bag and separator group counts (see klCounts), which needs P
+// uniform over r's rows: true of every Factorization, since r is a set.
 func (f *Factorization) KLFromEmpirical() (float64, error) {
-	type term struct {
-		ids  []int32
-		logs []float64 // ±log(count/n) per group: + for bags, − for separators
-	}
-	terms := make([]term, 0, len(f.bagGroups)+len(f.sepGroups))
-	var smallLogs [64]float64 // log(c/n) for the counts c below 64
-	for c := 1; c < len(smallLogs); c++ {
-		smallLogs[c] = math.Log(float64(c) / f.n)
-	}
-	add := func(g *relation.Grouping, sign float64) {
-		logs := make([]float64, g.Groups())
-		for id, c := range g.Counts {
-			if c < len(smallLogs) {
-				logs[id] = sign * smallLogs[c]
-			} else {
-				logs[id] = sign * math.Log(float64(c)/f.n)
-			}
+	return klCounts(int(f.n), f.bagGroups, f.sepGroups), nil
+}
+
+// klCounts returns D_KL(P ‖ P^T) of the join tree whose bags and
+// non-root separators have the given groupings over n rows:
+//
+//	D_KL(P ‖ P^T) = (Σ_seps Σ_g c_g ln c_g − Σ_bags Σ_g c_g ln c_g) / n.
+//
+// The identity needs P uniform over the n rows, i.e. unit row weights: a
+// Relation is a set, so its snapshot holds each distinct row once. A row t
+// of r lies in group g of a grouping with probability c_g/n, and summing
+// ln P^T(t) over the rows collects c_g copies of each group's term, so the
+// sum costs O(groups), not O(rows × bags). The terms are added with
+// Neumaier's compensated summation. KL never reads the memoized entropies
+// that J is computed from, so it stays an independent check of J.
+func klCounts(n int, bags, seps []*relation.Grouping) float64 {
+	var sum, comp float64
+	add := func(x float64) {
+		t := sum + x
+		if math.Abs(sum) >= math.Abs(x) {
+			comp += (sum - t) + x
+		} else {
+			comp += (x - t) + sum
 		}
-		terms = append(terms, term{ids: g.IDs, logs: logs})
+		sum = t
 	}
-	for _, g := range f.bagGroups {
-		add(g, 1)
-	}
-	for _, g := range f.sepGroups {
-		add(g, -1)
-	}
-	var d float64
-	invN := 1.0 / f.n
-	logInvN := math.Log(invN)
-	var lp [klBlock]float64
-	n := len(terms[0].ids)
-	for lo := 0; lo < n; lo += klBlock {
-		blk := lp[:min(klBlock, n-lo)]
-		clear(blk)
-		// Two terms per pass halve the loads and stores of blk.
-		k := 0
-		for ; k+1 < len(terms); k += 2 {
-			a, b := terms[k], terms[k+1]
-			bIDs := b.ids[lo : lo+len(blk)]
-			for j, id := range a.ids[lo : lo+len(blk)] {
-				blk[j] = blk[j] + a.logs[id] + b.logs[bIDs[j]]
-			}
-		}
-		if k < len(terms) {
-			t := terms[k]
-			for j, id := range t.ids[lo : lo+len(blk)] {
-				blk[j] += t.logs[id]
-			}
-		}
-		for _, v := range blk {
-			d += invN * (logInvN - v)
+	for _, g := range seps {
+		for _, c := range g.Counts {
+			add(cLogC(c))
 		}
 	}
+	for _, g := range bags {
+		for _, c := range g.Counts {
+			add(-cLogC(c))
+		}
+	}
+	d := (sum + comp) / float64(n)
+	// Rounding can leave the KL of a lossless tree a hair below 0.
 	if d < 0 && d > -1e-9 {
 		d = 0
 	}
-	return d, nil
+	return d
 }
 
-// klBlock is the number of rows KLFromEmpirical accumulates at a time: small
-// enough that the block's ln P^T values stay in L1 while every term's ids
-// stream past it.
-const klBlock = 256
+// cLogCTable holds c·ln c for the counts c below its length, which most
+// groups have.
+var cLogCTable = func() (t [256]float64) {
+	for c := 2; c < len(t); c++ {
+		t[c] = float64(c) * math.Log(float64(c))
+	}
+	return t
+}()
+
+func cLogC(c int) float64 {
+	if c < len(cLogCTable) {
+		return cLogCTable[c]
+	}
+	return float64(c) * math.Log(float64(c))
+}
 
 // Dist materializes the full P^T distribution over the support of the
 // acyclic join ⋈ᵢ R[Ωᵢ] (the support of P^T), keyed by encoded rows in the
